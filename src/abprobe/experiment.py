@@ -11,9 +11,10 @@ deterministic grid order regardless of completion order.
 from __future__ import annotations
 
 import csv
-import itertools
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,7 +22,15 @@ from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, 
 from .fbm import FbmParams, FbmTrace, generate_trace
 from .kalman import FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
-from .probing import SequenceConfig, build_schedule, draw_portion_rates, pair_strains, reduce_measurement
+from .probing import (
+    ProbeSchedule,
+    SequenceConfig,
+    StrainMeasurement,
+    build_schedule,
+    draw_portion_rates,
+    pair_strains,
+    reduce_measurement,
+)
 
 __all__ = [
     "RunConfig",
@@ -96,6 +105,10 @@ class RunConfig:
     def finalize(self) -> "RunConfig":
         """Fill derived defaults and cross-validate; raises ValueError with an
         actionable message on any inconsistency."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be a finite number, got {value}")
         c = self.capacity
         if c <= 0:
             raise ValueError(f"capacity must be > 0, got {c}")
@@ -278,81 +291,54 @@ def run(
     seq_cfg = cfg.sequence_config()
     fcfg = cfg.filter_config()
 
-    state = initial_state(fcfg)
-    hop = HopWorkload()
-    rate_rng = np.random.default_rng([cfg.seed, 1])
-    last_ab = fcfg.initial_ab_value
     n = cfg.sequences
-
-    cols = {
-        name: np.empty(n)
-        for name in (
-            "t_start", "true_ab", "ab_hat", "raw_ab", "alpha_hat",
-            "beta_hat", "psi00", "psi01", "psi11",
-        )
-    }
-    portions_used = np.empty(n, dtype=int)
-    degenerate = np.empty(n, dtype=bool)
-    bounds: list = []
-    event_writer = None
+    t_start = np.arange(n) * cfg.inter_sequence_gap
+    rates = draw_portion_rates(seq_cfg, np.random.default_rng([cfg.seed, 1]), n)
+    sched = build_schedule(seq_cfg, rates, t_start)
+    result, _ = transit_sequence(path, sched, HopWorkload(), cfg.reset_queue)
+    meas = reduce_measurement(pair_strains(sched, result.departures), sched, cfg.r_floor)
     if event_log is not None:
-        event_fh = open(event_log, "w", newline="")
-        event_writer = csv.writer(event_fh, lineterminator="\n")
-        event_writer.writerow(EVENT_HEADER)
-        pair_portion = np.repeat(np.arange(seq_cfg.p), seq_cfg.portion_sizes)
-        packet_portion = np.concatenate([[0], pair_portion])
+        _write_event_log(event_log, sched, result.departures)
 
-    try:
-        for k in range(n):
-            t0 = k * cfg.inter_sequence_gap
-            rates = draw_portion_rates(seq_cfg, rate_rng)
-            sched = build_schedule(seq_cfg, rates, t0)
-            if cfg.reset_queue:
-                hop = HopWorkload(t=t0)
-            result, hop = transit_sequence(path, sched, hop)
-            strains = pair_strains(sched, result.departures)
-            meas = reduce_measurement(strains, sched, cfg.r_floor)
-            state, rec = process_sequence(state, meas, fcfg, last_ab)
-            last_ab = rec.ab_hat
-
-            cols["t_start"][k] = t0
-            cols["true_ab"][k] = result.true_ab
-            cols["ab_hat"][k] = rec.ab_hat
-            cols["raw_ab"][k] = rec.raw_ab
-            cols["alpha_hat"][k] = state.alpha_hat
-            cols["beta_hat"][k] = state.beta_hat
-            cols["psi00"][k] = state.psi[0, 0]
-            cols["psi01"][k] = state.psi[0, 1]
-            cols["psi11"][k] = state.psi[1, 1]
-            portions_used[k] = rec.portions_used
-            degenerate[k] = rec.degenerate
-            if collect_bounds:
-                bounds.extend(strain_bounds_check(result, path, sched))
-            if event_writer is not None:
-                for i in range(seq_cfg.m):
-                    event_writer.writerow(
-                        [
-                            k,
-                            i,
-                            int(packet_portion[i]),
-                            _fmt(sched.send_times[i]),
-                            _fmt(sched.send_times[i]),
-                            _fmt(result.departures[i]),
-                        ]
-                    )
-    finally:
-        if event_writer is not None:
-            event_fh.close()
+    state = initial_state(fcfg)
+    last_ab = fcfg.initial_ab_value
+    rows = []
+    for k in range(n):
+        meas_k = StrainMeasurement(z=meas.z[k], rates=meas.rates[k], r_diag=meas.r_diag[k])
+        state, rec = process_sequence(state, meas_k, fcfg, last_ab)
+        last_ab = rec.ab_hat
+        (p00, p01), (_, p11) = state.psi.tolist()
+        rows.append((rec.ab_hat, rec.raw_ab, state.alpha_hat, state.beta_hat, p00, p01, p11,
+                     rec.portions_used, rec.degenerate))
+    names = ("ab_hat", "raw_ab", "alpha_hat", "beta_hat", "psi00", "psi01", "psi11",
+             "portions_used", "degenerate")
+    cols = dict(zip(names, map(np.array, zip(*rows))))
+    bounds = strain_bounds_check(result, path, sched) if collect_bounds else []
 
     return ExperimentReport(
         config=cfg,
-        portions_used=portions_used,
-        degenerate=degenerate,
         clamp_fraction=trace.clamp_fraction,
         cap_fraction=path.cap_fraction,
         bound_reports=bounds,
+        t_start=t_start,
+        true_ab=result.true_ab,
         **cols,
     )
+
+
+def _write_event_log(path, sched: ProbeSchedule, dep: np.ndarray) -> None:
+    """One row per probe, formatted as _fmt would; a probe reaches the
+    bottleneck at its send time, so send_t and arrive_t hold one value."""
+    config = sched.config
+    portion = [0] + np.repeat(np.arange(config.p), config.portion_sizes).tolist()
+    packet = [f",{i},{p}," for i, p in enumerate(portion)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(EVENT_HEADER) + "\n")
+        for k, (send_row, dep_row) in enumerate(zip(sched.send_times.tolist(), dep.tolist())):
+            sent = [f"{t:.12g}" for t in send_row]
+            fh.write(
+                "".join([f"{k}{i_p}{t},{t},{d:.12g}\n" for i_p, t, d in zip(packet, sent, dep_row)])
+            )
 
 
 # -- grid sweeps ----------------------------------------------------------
@@ -402,14 +388,15 @@ def _seed_task(args):
     return seed, xis
 
 
-def _map_seed_tasks(base, points, seeds, max_workers):
-    tasks = [(base, points, seed) for seed in seeds]
-    if max_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(pool.map(_seed_task, tasks))
-    else:
-        results = dict(_seed_task(t) for t in tasks)
-    return {seed: results[seed] for seed in seeds}
+def _map_seeds(task, base, payload, seeds, max_workers) -> dict:
+    """task((base, payload, seed)) -> (seed, result) for every seed, keyed by
+    seed; in a process pool of at most one worker per seed and per CPU."""
+    tasks = [(base, payload, seed) for seed in seeds]
+    workers = min(max_workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return dict(pool.map(task, tasks))
+    return dict(map(task, tasks))
 
 
 def sweep(
@@ -427,7 +414,7 @@ def sweep(
     seed-aggregated rows, with analytic and fitted-model overlays per point."""
     seeds = list(seeds)
     points = _grid_points(base, packets, portions, packet_sizes, capacities, paired)
-    by_seed = _map_seed_tasks(base, points, seeds, max_workers)
+    by_seed = _map_seeds(_seed_task, base, points, seeds, max_workers)
 
     rows = []
     for idx, (m, p, s, c) in enumerate(points):
@@ -493,12 +480,7 @@ def compare_bart(
     p_values = [1] + [p for p in portions if p != 1]
     ab_values = list(initial_abs) if initial_abs is not None else [base.initial_ab]
     variants = [(p, ab) for ab in ab_values for p in p_values]
-    tasks = [(base, variants, seed) for seed in seeds]
-    if max_workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            results = dict(pool.map(_compare_seed_task, tasks))
-    else:
-        results = dict(_compare_seed_task(t) for t in tasks)
+    results = _map_seeds(_compare_seed_task, base, variants, seeds, max_workers)
 
     rows = []
     for v_idx, (p, ab) in enumerate(variants):

@@ -130,15 +130,6 @@ def predict(state: FilterState) -> FilterState:
     )
 
 
-def _joseph_scalar(x, psi, h, z, r):
-    s = h @ psi @ h + r
-    k = (psi @ h) / s
-    x = x + k * (z - h @ x)
-    ikh = np.eye(2) - np.outer(k, h)
-    psi = ikh @ psi @ ikh.T + r * np.outer(k, k)
-    return x, 0.5 * (psi + psi.T)
-
-
 def update_sequential(
     state: FilterState,
     meas: StrainMeasurement,
@@ -146,17 +137,38 @@ def update_sequential(
 ) -> FilterState:
     """P scalar updates in portion order, Joseph-stabilized.
 
-    Gated portions are skipped; with every portion gated this is a no-op.
+    Each row h = [u_p, 1] gives the gain k = Psi h / (h' Psi h + R_p) and
+    Psi <- (I - k h') Psi (I - k h')' + R_p k k', written out for the 2x2
+    case in plain floats.  Gated portions are skipped; with every portion
+    gated this is a no-op.
     """
-    keep = gate_mask(meas, gate_threshold)
-    x = state.x.copy()
-    psi = state.psi.copy()
-    for p in range(meas.p):
-        if not keep[p]:
+    (x0, x1), (p00, p01), (_, p11) = state.x.tolist(), *state.psi.tolist()
+    rows = zip((meas.rates / state.c_ref).tolist(), meas.z.tolist(), meas.r_diag.tolist())
+    for u, z, r in rows:
+        if gate_threshold is not None and not abs(z) >= gate_threshold:
             continue
-        h = np.array([meas.rates[p] / state.c_ref, 1.0])
-        x, psi = _joseph_scalar(x, psi, h, meas.z[p], meas.r_diag[p])
-    return FilterState(x=x, psi=psi, lam=state.lam, c_ref=state.c_ref)
+        ph0 = p00 * u + p01
+        ph1 = p01 * u + p11
+        s = u * ph0 + ph1 + r
+        k0 = ph0 / s
+        k1 = ph1 / s
+        innovation = z - (u * x0 + x1)
+        x0 += k0 * innovation
+        x1 += k1 * innovation
+        a00, a01, a10, a11 = 1.0 - k0 * u, -k0, -k1 * u, 1.0 - k1
+        b00 = a00 * p00 + a01 * p01
+        b01 = a00 * p01 + a01 * p11
+        b10 = a10 * p00 + a11 * p01
+        b11 = a10 * p01 + a11 * p11
+        p00 = b00 * a00 + b01 * a01 + r * k0 * k0
+        p11 = b10 * a10 + b11 * a11 + r * k1 * k1
+        p01 = 0.5 * ((b00 * a10 + b01 * a11) + (b10 * a00 + b11 * a01)) + r * k0 * k1
+    return FilterState(
+        x=np.array([x0, x1]),
+        psi=np.array([[p00, p01], [p01, p11]]),
+        lam=state.lam,
+        c_ref=state.c_ref,
+    )
 
 
 def update_vector(

@@ -14,8 +14,7 @@ bottleneck departure.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,93 +139,102 @@ class PathModel:
             self.cumulative_cross_bits(t + delta) - self.cumulative_cross_bits(t)
         ) / delta
 
-    def _advance_slow(self, w: float, t0: float, t1: float) -> tuple[float, float]:
-        """Workload evolution cell by cell; exact even when fluid can outrun C.
+    def _knot_min(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+        """Min of eff(t)/C - t over the grid knots in each interval (t0, t1].
 
-        Only needed when the configured y_max allows fluid rates >= capacity;
-        the fluid rate is constant within a grid cell, so the deficit formula
-        is exact per cell.
+        +inf where an interval holds no knot.  Between knots the fluid rate is
+        constant, so with the interval's endpoints these knots carry the
+        interval's minimum.  Builds one array as long as the trace.
         """
-        idle = 0.0
-        t = t0
-        c = self.capacity
-        while t < t1 - 1e-15:
-            j = math.floor(t / self._dt + 1e-9) + 1
-            cell_end = min(j * self._dt, t1)
-            inflow = (
-                self.cumulative_cross_bits(cell_end) - self.cumulative_cross_bits(t)
-            ) / c
-            wn = w + inflow - (cell_end - t)
-            if wn < 0.0:
-                idle -= wn
-                wn = 0.0
-            w = wn
-            t = cell_end
-        return w, idle
+        g = np.append(self._eff / self.capacity - self._dt * np.arange(len(self._eff)), np.inf)
+        lo = np.clip(np.floor(t0 / self._dt).astype(np.int64) + 1, 0, len(g) - 1)
+        hi = np.clip(np.floor(t1 / self._dt).astype(np.int64) + 1, 0, len(g) - 1)
+        # reduceat over interleaved (lo, hi) pairs: even slots reduce g[lo:hi]
+        mins = np.minimum.reduceat(g, np.stack([lo, hi], axis=-1).ravel())[::2]
+        return np.where(lo < hi, mins.reshape(lo.shape), np.inf)
 
 
 def transit_sequence(
-    path: PathModel, schedule: ProbeSchedule, state: HopWorkload
+    path: PathModel,
+    schedule: ProbeSchedule,
+    state: HopWorkload,
+    reset_queue: bool = False,
 ) -> tuple[TransitResult, HopWorkload]:
-    """Push one probe sequence through the bottleneck queue.
+    """Push a probe sequence, or a run of them stacked as rows, through the queue.
+
+    Lindley's recursion in closed form: with G(t) = eff(t)/C - t, a probe
+    arriving at b after the event at a finds the workload
+    w(b) = G(b) - min(G(a) - w(a), min of G over [a, b]),
+    so each sequence is one running minimum, taken relative to G where its
+    starting workload is known, to keep rounding at the scale of one
+    sequence.  Below capacity G falls and its minimum over a gap sits at the
+    gap's end; otherwise the grid knots inside the gap enter too.  The queue
+    carries from row to row unless reset_queue empties it before every
+    sequence.
 
     Returns receiver arrival timestamps, the ground-truth available bandwidth
-    over the sequence's observation window, and the queue state at the last
-    probe arrival (queue persists across sequences unless the caller resets).
+    over each sequence's observation window, and the queue state at the last
+    probe arrival.
     """
-    a = schedule.send_times
-    if np.any(np.diff(a) <= 0):
+    send = schedule.send_times
+    lead, m = send.shape[:-1], send.shape[-1]
+    a = send.reshape(-1, m)
+    flat = a.ravel()
+    if np.any(np.diff(flat) <= 0):
         raise ValueError("schedule send times must be strictly increasing")
-    if a[0] < state.t - 1e-9:
+    if flat[0] < state.t - 1e-9:
         raise ValueError(
-            f"sequence starts at {a[0]} before the path clock {state.t}"
+            f"sequence starts at {flat[0]} before the path clock {state.t}"
         )
-    if a[-1] > path.horizon + 1e-9:
+    if flat[-1] > path.horizon + 1e-9:
         raise ValueError(
-            f"schedule extends to {a[-1]}, beyond the traffic horizon {path.horizon}"
+            f"schedule extends to {flat[-1]}, beyond the traffic horizon {path.horizon}"
         )
 
     c = path.capacity
     s_serv = schedule.config.packet_bits / c
-    m = len(a)
+    t_ref = a[:, 0].copy()  # where each row's starting workload is known
+    if not reset_queue:
+        t_ref[0] = min(state.t, flat[0])
+        t_ref[1:] = a[:-1, -1]
+    bits = path.cumulative_cross_bits(a)
+    bits_ref = path.cumulative_cross_bits(t_ref)
+    g = (bits - bits_ref[:, None]) / c - (a - t_ref[:, None])
+    low = g
+    if path.max_fluid_rate >= c:
+        # G at a gap's start never binds: the probe arriving there added S/C
+        gap_start = np.concatenate([t_ref[:, None], a[:, :-1]], axis=1)
+        low = np.minimum(g, path._knot_min(gap_start, a) - (bits_ref / c - t_ref)[:, None])
 
-    times = np.empty(m + 1)
-    times[0] = min(state.t, a[0])
-    times[1:] = a
-    bits = path.cumulative_cross_bits(times)
-    inflow = np.diff(bits) / c
-    gaps = np.diff(times)
-
-    fast = path.max_fluid_rate < c
-    w = state.w
-    idle = state.idle_accum
-    served_work = 0.0
-    dep = np.empty(m)
-    for i in range(m):
-        if fast:
-            wn = w + inflow[i] - gaps[i]
-            if wn < 0.0:
-                idle -= wn
-                wn = 0.0
-        else:
-            wn, idle_inc = path._advance_slow(w, times[i], times[i + 1])
-            idle += idle_inc
-        served_work += w + inflow[i] - wn
-        dep[i] = a[i] + wn + s_serv
-        w = wn + s_serv
-
+    # probe i of a row finds level = min(carry, min_{j<=i} low_j + j*s) - i*s
+    offset = s_serv * np.arange(m)
+    run_min = np.minimum.accumulate(low + offset, axis=1)
+    carry = np.zeros(len(a))  # G(t_ref) - w(t_ref), relative to G(t_ref)
+    if not reset_queue:
+        c_k = -state.w
+        last = float(offset[-1])
+        for k, (r, g_last) in enumerate(zip(run_min[:, -1].tolist(), g[:, -1].tolist())):
+            carry[k] = c_k
+            c_k = -((g_last - min(c_k, r) + last) + s_serv)
+    level = np.minimum(run_min, carry[:, None])
+    wait = g - level + offset
+    dep = (a + wait + s_serv).reshape(send.shape)
     dep.flags.writeable = False
-    delta_t = float(a[-1] - a[0])
-    y = (bits[-1] - bits[1]) / delta_t
-    true_ab = max(0.0, c - y)
 
+    idle = carry - level[:, -1]
+    span = a[:, -1] - t_ref
+    delta_t = a[:, -1] - a[:, 0]
+    true_ab = np.maximum(0.0, c - (bits[:, -1] - bits[:, 0]) / delta_t)
     new_state = HopWorkload(
-        t=float(a[-1]),
-        w=w,
-        idle_accum=idle,
-        served_bits=state.served_bits + served_work * c,
+        t=float(flat[-1]),
+        w=float(wait[-1, -1] + s_serv),
+        idle_accum=state.idle_accum + float(idle.sum()),
+        served_bits=state.served_bits + c * float((span - idle).sum()),
     )
-    return TransitResult(departures=dep, true_ab=true_ab, window=(float(a[0]), delta_t)), new_state
+    # [()] turns the one-sequence case's 0-d arrays into scalars
+    window = (a[:, 0].reshape(lead)[()], delta_t.reshape(lead)[()])
+    result = TransitResult(departures=dep, true_ab=true_ab.reshape(lead)[()], window=window)
+    return result, new_state
 
 
 @dataclass(frozen=True)
@@ -252,49 +260,27 @@ def strain_bounds_check(
 
     Congested portions (mean input gap <= S/C) must sit exactly at
     y/C + S/(g_in*C) - 1; the rest must lie in [y/C - 1, y/C + S/(g_in*C)].
-    Pure audit: estimation never sees these numbers.
+    One report per portion, sequence by sequence.  Pure audit: estimation
+    never sees these numbers.
     """
     c = path.capacity
     s_bits = schedule.config.packet_bits
-    send = schedule.send_times
-    dep = result.departures
-    g_in_all = np.diff(send)
-    g_out_all = np.diff(dep)
-    edges = np.concatenate([[0], np.cumsum(schedule.config.portion_sizes)]).astype(int)
-
-    reports = []
-    for p in range(schedule.config.p):
-        lo, hi = edges[p], edges[p + 1]
-        g_in = float(g_in_all[lo:hi].mean())
-        g_out = float(g_out_all[lo:hi].mean())
-        strain = g_out / g_in - 1.0
-        t_p = float(send[lo])
-        delta_p = float(send[hi] - send[lo])
-        y = path.cross_rate(t_p, delta_p)
-        slack = s_bits / (g_in * c)
-        equality = g_in <= s_bits / c * (1 + 1e-12)
-        if equality:
-            bound = y / c + slack - 1.0
-            lower = upper = bound
-            tol = 1e-9 * max(1.0, abs(bound))
-            passed = abs(strain - bound) <= tol
-        else:
-            lower = y / c - 1.0
-            upper = y / c + slack
-            tol = 1e-9 * max(1.0, abs(lower), abs(upper))
-            passed = (strain >= lower - tol) and (strain <= upper + tol)
-        reports.append(
-            PortionBounds(
-                portion=p,
-                rate=float(schedule.portion_rates[p]),
-                g_in=g_in,
-                g_out=g_out,
-                strain=strain,
-                y_true=y,
-                lower=lower,
-                upper=upper,
-                equality_case=equality,
-                passed=passed,
-            )
-        )
-    return reports
+    send = schedule.send_times.reshape(-1, schedule.config.m)
+    dep = result.departures.reshape(send.shape)
+    sizes = np.asarray(schedule.config.portion_sizes)
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    g_in = np.add.reduceat(np.diff(send), edges[:-1], axis=1) / sizes
+    g_out = np.add.reduceat(np.diff(dep), edges[:-1], axis=1) / sizes
+    strain = g_out / g_in - 1.0
+    t_p, t_end = send[:, edges[:-1]], send[:, edges[1:]]
+    y = (path.cumulative_cross_bits(t_end) - path.cumulative_cross_bits(t_p)) / (t_end - t_p)
+    top = y / c + s_bits / (g_in * c)
+    equality = g_in <= s_bits / c * (1 + 1e-12)
+    lower = np.where(equality, top - 1.0, y / c - 1.0)
+    upper = np.where(equality, top - 1.0, top)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
+    passed = (strain >= lower - tol) & (strain <= upper + tol)
+    portion = np.broadcast_to(np.arange(len(sizes)), strain.shape)
+    rate = np.broadcast_to(schedule.portion_rates, strain.shape)
+    columns = (portion, rate, g_in, g_out, strain, y, lower, upper, equality, passed)
+    return [PortionBounds(*row) for row in zip(*(col.ravel().tolist() for col in columns))]

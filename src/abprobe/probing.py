@@ -95,7 +95,9 @@ class SequenceConfig:
 
 @dataclass(frozen=True)
 class ProbeSchedule:
-    """Transmit timestamps and per-portion rates of one sequence."""
+    """Transmit timestamps and per-portion rates of one sequence, or of a
+    run of sequences stacked as rows: send_times (..., M), portion_rates
+    (..., P)."""
 
     send_times: np.ndarray
     portion_rates: np.ndarray
@@ -108,32 +110,42 @@ class ProbeSchedule:
         return sizes * self.config.packet_bits / self.portion_rates
 
     @property
-    def delta_t(self) -> float:
+    def delta_t(self):
         """Total observation time: first-to-last packet span."""
-        return float(self.send_times[-1] - self.send_times[0])
+        return self.send_times[..., -1] - self.send_times[..., 0]
 
 
-def draw_portion_rates(config: SequenceConfig, rng: np.random.Generator) -> np.ndarray:
-    """P rates, iid uniform on [rate_min, rate_max], sorted ascending."""
-    rates = rng.uniform(config.rate_min, config.rate_max, config.p)
-    rates.sort()
+def draw_portion_rates(
+    config: SequenceConfig, rng: np.random.Generator, n: int | None = None
+) -> np.ndarray:
+    """P rates, iid uniform on [rate_min, rate_max], sorted ascending.
+
+    With n, an (n, P) array whose row k is what the k-th of n successive
+    single draws would return: one call consumes the same stream.
+    """
+    size = config.p if n is None else (n, config.p)
+    rates = rng.uniform(config.rate_min, config.rate_max, size)
+    rates.sort(axis=-1)
     return rates
 
 
-def build_schedule(
-    config: SequenceConfig, rates: np.ndarray, t_start: float
-) -> ProbeSchedule:
-    """Lay out packet 0 at t_start, then constant-rate gaps portion by portion."""
+def build_schedule(config: SequenceConfig, rates: np.ndarray, t_start) -> ProbeSchedule:
+    """Lay out packet 0 at t_start, then constant-rate gaps portion by portion.
+
+    rates (..., P) with t_start of the leading shape lays out every row's
+    sequence at once.
+    """
     rates = np.asarray(rates, dtype=float)
-    if rates.shape != (config.p,):
-        raise ValueError(f"expected {config.p} rates, got shape {rates.shape}")
+    if rates.shape[-1:] != (config.p,):
+        raise ValueError(f"expected {config.p} rates per sequence, got shape {rates.shape}")
     if np.any(rates <= 0):
         raise ValueError("portion rates must be positive")
-    gaps = np.repeat(config.packet_bits / rates, config.portion_sizes)
-    send = np.empty(config.m)
-    send[0] = t_start
-    np.cumsum(gaps, out=send[1:])
-    send[1:] += t_start
+    gaps = np.repeat(config.packet_bits / rates, config.portion_sizes, axis=-1)
+    t0 = np.asarray(t_start, dtype=float)[..., None]
+    send = np.empty(rates.shape[:-1] + (config.m,))
+    send[..., :1] = t0
+    np.cumsum(gaps, axis=-1, out=send[..., 1:])
+    send[..., 1:] += t0
     send.flags.writeable = False
     return ProbeSchedule(send_times=send, portion_rates=rates, config=config)
 
@@ -143,33 +155,34 @@ def pair_strains(schedule: ProbeSchedule, arrivals: np.ndarray) -> np.ndarray:
     arrivals = np.asarray(arrivals, dtype=float)
     if arrivals.shape != schedule.send_times.shape:
         raise ValueError(
-            f"expected {schedule.send_times.shape[0]} arrivals, got {arrivals.shape}"
+            f"expected arrivals shaped {schedule.send_times.shape}, got {arrivals.shape}"
         )
-    g_out = np.diff(arrivals)
+    g_out = np.diff(arrivals, axis=-1)
     if np.any(g_out <= 0):
         raise ValueError("arrivals must be strictly increasing (simulator bug?)")
-    g_in = np.diff(schedule.send_times)
+    g_in = np.diff(schedule.send_times, axis=-1)
     return g_out / g_in - 1.0
 
 
 @dataclass(frozen=True)
 class StrainMeasurement:
     """One Kalman measurement: portion-mean strains z, rates (the measurement
-    matrix's first column), and the diagonal of the strain covariance."""
+    matrix's first column), and the diagonal of the strain covariance.  A
+    run's measurements stack as rows."""
 
     z: np.ndarray
     rates: np.ndarray
     r_diag: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (len(self.z) == len(self.rates) == len(self.r_diag)):
-            raise ValueError("z, rates and r_diag must have equal length")
+        if not (np.shape(self.z) == np.shape(self.rates) == np.shape(self.r_diag)):
+            raise ValueError("z, rates and r_diag must have equal shapes")
         if np.any(self.r_diag <= 0):
             raise ValueError("r_diag entries must be positive")
 
     @property
     def p(self) -> int:
-        return len(self.z)
+        return self.z.shape[-1]
 
 
 def reduce_measurement(
@@ -179,19 +192,23 @@ def reduce_measurement(
 ) -> StrainMeasurement:
     """Portion means and (n-1)-denominator sample variances of pair strains.
 
-    Variances are floored at r_floor: a portion whose strains are all equal
-    (typical when its rate is below the available bandwidth) would otherwise
-    be infinitely trusted by the filter.
+    Variances are taken in two passes, as np.var does, and floored at
+    r_floor: a portion whose strains are all equal (typical when its rate is
+    below the available bandwidth) would otherwise be infinitely trusted by
+    the filter.
     """
     strains = np.asarray(strains, dtype=float)
-    if strains.shape != (schedule.config.m - 1,):
-        raise ValueError(
-            f"expected {schedule.config.m - 1} pair strains, got {strains.shape}"
-        )
-    slices = schedule.config.portion_slices()
-    z = np.array([strains[sl].mean() for sl in slices])
-    r = np.array([max(strains[sl].var(ddof=1), r_floor) for sl in slices])
-    return StrainMeasurement(z=z, rates=schedule.portion_rates.copy(), r_diag=r)
+    want = schedule.send_times.shape[:-1] + (schedule.config.m - 1,)
+    if strains.shape != want:
+        raise ValueError(f"expected pair strains shaped {want}, got {strains.shape}")
+    sizes = np.asarray(schedule.config.portion_sizes)
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    z = np.add.reduceat(strains, starts, axis=-1) / sizes
+    dev = strains - np.repeat(z, sizes, axis=-1)
+    var = np.add.reduceat(dev * dev, starts, axis=-1) / (sizes - 1)
+    return StrainMeasurement(
+        z=z, rates=schedule.portion_rates.copy(), r_diag=np.maximum(var, r_floor)
+    )
 
 
 def gate_mask(meas: StrainMeasurement, threshold: float | None) -> np.ndarray:

@@ -83,6 +83,13 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["run", "--rate-min", "1e4", "--out", str(tmp_path / "y.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--mu", "inf"), ("--lambda", "nan")])
+def test_non_finite_values_exit_2(tmp_path, capsys, flag, value):
+    assert main(["run", "--sequences", "5", flag, value, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_flags_accepted(tmp_path):
     out = tmp_path / "flags.csv"
     rc = main([

@@ -1,8 +1,22 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
-from abprobe.experiment import RunConfig, compare_bart, model_grid_rows, run, sweep
+from abprobe import experiment
+from abprobe.experiment import (
+    EVENT_HEADER,
+    RunConfig,
+    _fmt,
+    compare_bart,
+    model_grid_rows,
+    run,
+    sweep,
+)
 from abprobe.fbm import generate_trace
+from abprobe.path import HopWorkload, PathModel, transit_sequence
+from abprobe.probing import build_schedule, draw_portion_rates
 
 
 def small_config(**kw):
@@ -65,6 +79,41 @@ def test_reset_queue_changes_departures_not_crash():
     assert np.median(np.abs(carried.ab_hat - fresh.ab_hat)) < 0.2 * 1e7
 
 
+def test_event_log_bytes(tmp_path):
+    cfg = small_config(sequences=12, packets=14, portions=3).finalize()  # 13 pairs: 5, 4, 4
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    run(cfg, event_log=a)
+    run(cfg, event_log=b)
+    assert a.read_bytes() == b.read_bytes()
+    assert a.read_bytes().count(b"\n") == 12 * 14 + 1
+
+    # the same values written row by row through csv.writer and _fmt
+    seq = cfg.sequence_config()
+    path = PathModel(cfg.capacity, cfg.access_capacity, generate_trace(cfg.fbm_params()), cfg.y_max)
+    rates = draw_portion_rates(seq, np.random.default_rng([cfg.seed, 1]), 12)
+    sched = build_schedule(seq, rates, np.arange(12) * cfg.inter_sequence_gap)
+    send = sched.send_times
+    dep = transit_sequence(path, sched, HopWorkload())[0].departures
+    portion = np.concatenate([[0], np.repeat(np.arange(3), seq.portion_sizes)])
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(EVENT_HEADER)
+    for k in range(12):
+        for i in range(14):
+            writer.writerow(
+                [k, i, int(portion[i]), _fmt(send[k, i]), _fmt(send[k, i]), _fmt(dep[k, i])]
+            )
+    assert a.read_text() == expected.getvalue()
+
+
+def test_finalize_rejects_non_finite():
+    for field in ("sigma", "mu", "lam", "capacity", "rate_max"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            RunConfig(**{field: float("nan")}).finalize()
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(mu=float("inf")).finalize()
+
+
 def test_estimate_csv_schema(tmp_path):
     rep = run(small_config())
     out = tmp_path / "est.csv"
@@ -93,6 +142,41 @@ def test_sweep_worker_pool_matches_serial():
     serial = sweep(base, packets=[13, 22], seeds=(0, 1), max_workers=1)
     pooled = sweep(base, packets=[13, 22], seeds=(0, 1), max_workers=2)
     assert serial == pooled
+
+
+def _seed_echo(args):
+    base, payload, seed = args
+    return seed, (payload, seed)
+
+
+def test_worker_pool_capped_by_seeds_and_cpus(monkeypatch):
+    created = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 3)
+    seeds = [4, 2, 7, 1, 0]
+    out = experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=64)
+    assert list(out) == seeds and out[7] == ("p", 7)
+    experiment._map_seeds(_seed_echo, None, "p", [5, 6], max_workers=64)
+    experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=2)
+    experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=1)  # serial
+    experiment._map_seeds(_seed_echo, None, "p", [3], max_workers=8)  # serial
+    assert created == [3, 2, 2]
 
 
 def test_compare_bart_shares_traffic():

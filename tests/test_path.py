@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -252,3 +254,83 @@ def test_departures_strictly_increasing_property(seed, m, u_frac):
     assert np.all(np.diff(result.departures) > 0)
     assert state.w >= 0.0
     assert 0.0 <= state.idle_accum
+
+
+# -- array transit against the per-packet reference ------------------------------
+
+def reference_advance(path, w, t0, t1, cells):
+    """Workload from t0 to t1 in one step, or grid cell by grid cell (exact
+    even when the fluid can outrun C): (workload at t1, idle time)."""
+    c, dt = path.capacity, path.traffic.params.dt
+    idle = 0.0
+    t = t0
+    while t < t1 - 1e-15:
+        cell_end = min((math.floor(t / dt + 1e-9) + 1) * dt, t1) if cells else t1
+        w += (path.cumulative_cross_bits(cell_end) - path.cumulative_cross_bits(t)) / c
+        w -= cell_end - t
+        if w < 0.0:
+            idle -= w
+            w = 0.0
+        t = cell_end
+    return w, idle
+
+
+def reference_transit(path, send, packet_bits, reset_queue=False):
+    """The per-packet Lindley loop, sequence after sequence: departures, the
+    workload each row found at its start, total idle time and served bits."""
+    c = path.capacity
+    s_serv = packet_bits / c
+    cells = path.max_fluid_rate >= c
+    t = w = idle = served = 0.0
+    deps, carried = [], []
+    for row in send.tolist():
+        if reset_queue:
+            t, w = row[0], 0.0
+        carried.append(w)
+        dep = []
+        for a in row:
+            inflow = (path.cumulative_cross_bits(a) - path.cumulative_cross_bits(t)) / c
+            wn, idle_inc = reference_advance(path, w, t, a, cells)
+            idle += idle_inc
+            served += (w + inflow - wn) * c
+            dep.append(a + wn + s_serv)
+            t, w = a, wn + s_serv
+        deps.append(dep)
+    return np.array(deps), np.array(carried), idle, served
+
+
+def run_schedule(n, spacing, rate_min, rate_max, m=22, p=3, seed=5):
+    cfg = SequenceConfig(m=m, p=p, packet_size=1500.0, rate_min=rate_min, rate_max=rate_max)
+    rates = draw_portion_rates(cfg, np.random.default_rng(seed), n)
+    return build_schedule(cfg, rates, 0.05 + spacing * np.arange(n))
+
+
+@pytest.mark.parametrize(
+    "case, reset_queue",
+    [("carried", False), ("reset", True), ("bursty", False), ("bursty", True)],
+)
+def test_run_transit_matches_per_packet_reference(case, reset_queue):
+    if case == "bursty":
+        # fluid up to 3C: the queue fills inside gaps, so knots matter
+        path = PathModel(C, 10 * C, fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=12.0), y_max=3.0 * C)
+        assert path.max_fluid_rate >= C
+        sched = run_schedule(50, 0.2, 6e6, 3e7)
+    else:
+        # heavy load and 0.1 s spacing, so some sequences start on a backlog
+        path = make_path(fbm_trace(seed=4, mu=8.5e6, sigma=1e6, horizon=12.0))
+        assert path.max_fluid_rate < C
+        sched = run_schedule(60, 0.1, 6e6, 3e7)
+    send = sched.send_times
+    result, state = transit_sequence(path, sched, HopWorkload(), reset_queue)
+    ref_dep, carried, ref_idle, ref_served = reference_transit(path, send, S_BITS, reset_queue)
+    if not reset_queue:
+        assert np.any(carried[1:] > S_BITS / C)
+    assert np.abs(result.departures - ref_dep).max() <= 1e-12
+    assert state.idle_accum == pytest.approx(ref_idle, rel=1e-9, abs=1e-12)
+    assert state.served_bits == pytest.approx(ref_served, rel=1e-9)
+    assert state.w == pytest.approx(ref_dep[-1, -1] - send[-1, -1], abs=1e-12)
+    for row, ab in zip(send, result.true_ab):
+        y = path.cross_rate(row[0], row[-1] - row[0])
+        assert ab == pytest.approx(max(0.0, C - y), rel=1e-12)
+    reports = strain_bounds_check(result, path, sched)
+    assert len(reports) == 3 * len(send) and all(rep.passed for rep in reports)

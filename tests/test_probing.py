@@ -65,6 +65,22 @@ def test_draw_marginal_uniform():
     assert pvalue > 0.01
 
 
+def test_run_draw_and_schedule_equal_per_sequence_ones():
+    # one (n, P) draw consumes the stream exactly as n single draws do
+    cfg = make_config(m=16, p=3)
+    rates = draw_portion_rates(cfg, np.random.default_rng(9), 40)
+    rng = np.random.default_rng(9)
+    singles = np.array([draw_portion_rates(cfg, rng) for _ in range(40)])
+    assert np.array_equal(rates, singles)
+    t0 = 0.7 * np.arange(40)
+    run = build_schedule(cfg, rates, t0)
+    assert run.delta_t.shape == (40,)
+    for k in range(40):
+        one = build_schedule(cfg, rates[k], t0[k])
+        assert np.array_equal(run.send_times[k], one.send_times)
+        assert run.delta_t[k] == one.delta_t
+
+
 # -- schedule construction -------------------------------------------------------
 
 def test_schedule_span_example():
@@ -180,6 +196,21 @@ def test_p1_reduction_is_scalar():
     assert meas.p == 1
     assert meas.z[0] == pytest.approx(strains.mean())
     assert meas.r_diag[0] == pytest.approx(strains.var(ddof=1))
+
+
+def test_run_reduction_matches_per_portion_var():
+    # 17 pairs over 3 portions: sizes 6, 6, 5
+    cfg = SequenceConfig(m=18, p=3, packet_size=1500.0, rate_min=1e6, rate_max=1e7)
+    rng = np.random.default_rng(4)
+    sched = build_schedule(cfg, draw_portion_rates(cfg, rng, 30), np.arange(30.0))
+    strains = rng.normal(0.2, 0.05, (30, 17))
+    meas = reduce_measurement(strains, sched, r_floor=1e-12)
+    assert meas.z.shape == meas.r_diag.shape == (30, 3) and meas.p == 3
+    assert np.array_equal(meas.rates, sched.portion_rates)
+    for k in range(30):
+        for p, sl in enumerate(cfg.portion_slices()):
+            assert meas.z[k, p] == pytest.approx(strains[k, sl].mean(), rel=1e-13)
+            assert meas.r_diag[k, p] == pytest.approx(strains[k, sl].var(ddof=1), rel=1e-12)
 
 
 @given(
