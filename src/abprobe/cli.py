@@ -171,7 +171,7 @@ def _build_run_config(args, file_cfg: dict) -> RunConfig:
 def _cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     base = _build_run_config(args, file_cfg)
-    report = run(base.finalize(), event_log=args.event_log)
+    report = run(base, event_log=args.event_log)
     if args.out:
         report.to_csv(args.out)
         dest = args.out
@@ -214,16 +214,12 @@ def _cmd_sweep(args) -> int:
 def _build_run_config_multi(args, file_cfg: dict) -> RunConfig:
     """Like _build_run_config but multi-valued axes fall back to defaults in
     the base config (the sweep supplies them per grid point)."""
-    saved = {}
-    for name in ("capacity", "packets", "portions", "packet_size", "initial_ab"):
-        value = getattr(args, name)
-        if value is not None and len(value) > 1:
-            saved[name] = value
-            setattr(args, name, None)
-    base = _build_run_config(args, file_cfg)
-    for name, value in saved.items():
-        setattr(args, name, value)
-    return base
+    multi = {
+        name: None
+        for name in ("capacity", "packets", "portions", "packet_size", "initial_ab")
+        if len(getattr(args, name) or ()) > 1
+    }
+    return _build_run_config(argparse.Namespace(**{**vars(args), **multi}), file_cfg)
 
 
 def _cmd_compare(args) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, normalized_mse
-from .fbm import FbmParams, FbmTrace, generate_trace
+from .fbm import FbmParams, FbmTrace, _next_fast_len, generate_trace
 from .kalman import FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
 from .probing import (
@@ -51,6 +51,11 @@ ESTIMATE_HEADER = [
 EVENT_HEADER = ["seq_id", "pkt_idx", "portion", "send_t", "arrive_t", "depart_t"]
 SWEEP_HEADER = ["M", "P", "C", "S", "H", "lambda", "seed", "xi_sim", "xi_analytic", "xi_empirical"]
 COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
+
+# peak bytes per circulant-embedding point of trace synthesis: spectrum, FFT
+# output, cached scale and numpy's FFT working memory (peak RSS over the
+# embedding length on the 3.3 M- and 10 M-sample runs: 37.0 and 36.3 B)
+PEAK_BYTES_PER_POINT = 37
 
 
 def _fmt(x) -> str:
@@ -147,7 +152,15 @@ class RunConfig:
             raise ValueError(
                 f"trace grid dt={dt} must be finer than the inter-sequence gap"
             )
-        cfg.fbm_params()  # validates hurst/sigma/mu/dt/horizon
+        n = cfg.fbm_params().n_samples  # validates hurst/sigma/mu/dt/horizon
+        peak = PEAK_BYTES_PER_POINT * _next_fast_len(2 * (n - 1))
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if peak > physical:
+            raise ValueError(
+                f"the {n}-sample traffic trace needs about {peak / 2**30:.3g} GiB, more "
+                f"than the {physical / 2**30:.3g} GiB of physical memory; raise "
+                "packet_size or dt, or lower sequences or capacity"
+            )
         return cfg
 
     # -- derived views ----------------------------------------------------
@@ -414,11 +427,12 @@ def sweep(
     seed-aggregated rows, with analytic and fitted-model overlays per point."""
     seeds = list(seeds)
     points = _grid_points(base, packets, portions, packet_sizes, capacities, paired)
+    # every point is validated before any trace is synthesized
+    cfgs = [_point_config(base, *point, seeds[0]).finalize() for point in points]
     by_seed = _map_seeds(_seed_task, base, points, seeds, max_workers)
 
     rows = []
-    for idx, (m, p, s, c) in enumerate(points):
-        cfg = _point_config(base, m, p, s, c, seeds[0]).finalize()
+    for idx, ((m, p, s, c), cfg) in enumerate(zip(points, cfgs)):
         xi_ana = analytic_xi(cfg.analytic_params()).xi
         if 1 <= p <= 5:
             xi_emp = empirical_xi(lookup_coeffs(c, p), m, p)

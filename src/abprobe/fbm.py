@@ -61,44 +61,57 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
         return rng.standard_normal(1)
 
     key = (n, hurst)
-    cached = _EIGENVALUE_CACHE.get(key)
-    if cached is None:
+    scale = _SCALE_CACHE.get(key)
+    if scale is None:
         for m in (_next_fast_len(2 * n), 2 * n):
             lam = _embedding_eigenvalues(n, hurst, m)
             if lam is not None:
                 break
         else:
             raise RuntimeError(f"circulant embedding failed for n={n}, H={hurst}")
-        if len(_EIGENVALUE_CACHE) >= 4:
-            _EIGENVALUE_CACHE.pop(next(iter(_EIGENVALUE_CACHE)))
-        _EIGENVALUE_CACHE[key] = (m, lam)
-    else:
-        m, lam = cached
+        # per-bin scale sqrt(m*lam/2); the real bins 0 and m/2 take sqrt(m*lam)
+        lam *= m
+        lam[1 : m // 2] /= 2.0
+        scale = np.sqrt(lam, out=lam)
+        if len(_SCALE_CACHE) >= 4:
+            _SCALE_CACHE.pop(next(iter(_SCALE_CACHE)))
+        _SCALE_CACHE[key] = scale
 
     # Hermitian spectral synthesis: m real normals -> one exact sample path.
-    half = m // 2
+    # Bins 0 and m/2 are real; the normals are freed before the FFT.
+    half = len(scale) - 1
+    m = 2 * half
     z = rng.standard_normal(m)
-    spec = np.empty(half + 1, dtype=complex)
-    spec[0] = np.sqrt(m * lam[0]) * z[0]
-    spec[half] = np.sqrt(m * lam[half]) * z[half]
-    spec[1:half] = np.sqrt(m * lam[1:half] / 2.0) * (z[1:half] + 1j * z[half + 1 :])
+    spec = np.zeros(half + 1, dtype=complex)
+    spec.real = z[: half + 1]
+    spec.imag[1:half] = z[half + 1 :]
+    del z
+    spec *= scale
     return np.fft.irfft(spec, n=m)[:n]
 
 
-# eigenvalues are a pure function of (n, hurst); reuse across seeds
-_EIGENVALUE_CACHE: dict[tuple[int, float], tuple[int, np.ndarray]] = {}
+# spectral scales are a pure function of (n, hurst); reuse across seeds
+_SCALE_CACHE: dict[tuple[int, float], np.ndarray] = {}
 
 
 def _embedding_eigenvalues(n: int, hurst: float, m: int) -> np.ndarray | None:
     """Eigenvalues of the size-m circulant embedding, or None if indefinite."""
     if m % 2:
         raise ValueError(f"embedding size must be even, got {m}")
-    two_h = 2.0 * hurst
     half = m // 2
-    k = np.arange(half + 1, dtype=float)
-    gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    lam = np.fft.rfft(row).real  # eigenvalues 0..m/2 of the symmetric circulant
+    # q[k] = k^2H once; gamma(k) = 0.5*((q[k+1] - 2q[k]) + q[|k-1|]) is
+    # written with its mirror straight into the circulant's first row
+    q = np.arange(half + 2, dtype=float) ** (2.0 * hurst)
+    row = np.empty(m)
+    gamma = row[: half + 1]
+    np.multiply(q[: half + 1], 2.0, out=gamma)
+    np.subtract(q[1:], gamma, out=gamma)
+    gamma[0] += q[1]
+    gamma[1:] += q[:half]
+    gamma *= 0.5
+    row[half + 1 :] = gamma[half - 1 : 0 : -1]
+    del q, gamma
+    lam = np.fft.rfft(row).real.copy()  # eigenvalues 0..m/2 of the symmetric circulant
     if lam.min() < -1e-8 * lam.max():
         return None
     np.clip(lam, 0.0, None, out=lam)
@@ -158,12 +171,17 @@ class FbmTrace:
             raise ValueError("omega must start at zero")
         self.params = params
         self.omega = omega
-        t = params.dt * np.arange(omega.shape[0])
-        raw = params.mu * t + params.sigma * omega
-        self._raw = raw
+        raw = np.arange(omega.shape[0], dtype=float)
+        raw *= params.dt
+        raw *= params.mu
+        raw += params.sigma * omega
         # monotone clamp: running max of max(0, raw)
-        self._cum = np.maximum.accumulate(np.maximum(raw, 0.0))
-        for arr in (self.omega, self._raw, self._cum):
+        cum = np.maximum(raw, 0.0)
+        np.maximum.accumulate(cum, out=cum)
+        # fraction of grid points where the monotone clamp altered raw b(t)
+        self.clamp_fraction = float(np.mean(cum > raw))
+        self._cum = cum
+        for arr in (self.omega, self._cum):
             arr.flags.writeable = False
 
     @property
@@ -182,11 +200,6 @@ class FbmTrace:
     def cum_grid(self) -> np.ndarray:
         """Clamped cumulative bits at grid points (non-decreasing)."""
         return self._cum
-
-    @property
-    def clamp_fraction(self) -> float:
-        """Fraction of grid points where the monotone clamp altered raw b(t)."""
-        return float(np.mean(self._cum > self._raw))
 
     def _check_time(self, t: float) -> float:
         tmax = (self.n - 1) * self.params.dt
@@ -208,8 +221,13 @@ class FbmTrace:
         pos = t / self.params.dt
         j = min(int(pos), self.n - 2)
         frac = pos - j
-        raw = self._raw[j] + (self._raw[j + 1] - self._raw[j]) * frac
-        return float(max(self._cum[j], raw))
+        lo, hi = self._raw_at(j), self._raw_at(j + 1)
+        return float(max(self._cum[j], lo + (hi - lo) * frac))
+
+    def _raw_at(self, j: int) -> float:
+        """Raw b at grid point j, by the same formula as the clamped grid."""
+        p = self.params
+        return p.mu * (p.dt * j) + p.sigma * self.omega[j]
 
     def average_rate(self, t: float, delta: float) -> float:
         """Mean cross-traffic rate over [t, t+delta] in bits/s (>= 0)."""
@@ -222,10 +240,12 @@ def generate_trace(params: FbmParams) -> FbmTrace:
     """Synthesize omega on the dt grid; bit-for-bit reproducible per seed."""
     rng = np.random.default_rng(params.seed)
     n_incr = params.n_samples - 1
-    incr = fgn_davies_harte(n_incr, params.hurst, rng) * params.dt**params.hurst
+    incr = fgn_davies_harte(n_incr, params.hurst, rng)
+    incr *= params.dt**params.hurst
     omega = np.empty(n_incr + 1)
     omega[0] = 0.0
     np.cumsum(incr, out=omega[1:])
+    del incr  # a view that keeps the whole FFT output alive
     return FbmTrace(params, omega)
 
 
@@ -236,10 +256,11 @@ def trace_from_samples(params: FbmParams, omega: np.ndarray) -> FbmTrace:
 
 def write_trace_csv(trace: FbmTrace, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "omega"])
-        for t, w in zip(trace.grid_times, trace.omega):
-            writer.writerow([f"{t:.12g}", f"{w:.17g}"])
+        fh.write("t,omega\n")
+        fh.writelines(
+            f"{t:.12g},{w:.17g}\n"
+            for t, w in zip(trace.grid_times.tolist(), trace.omega.tolist())
+        )
 
 
 def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:

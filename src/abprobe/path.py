@@ -103,18 +103,22 @@ class PathModel:
         if self.y_max <= 0:
             raise ValueError(f"y_max must be > 0, got {self.y_max}")
 
+        # one buffer: grid increments, capped at y_max*dt, summed back up
         dt = traffic.params.dt
-        inc = np.diff(traffic.cum_grid)
-        capped = np.minimum(inc, self.y_max * dt)
-        self.cap_fraction = float(np.mean(capped < inc)) if len(inc) else 0.0
+        cum = traffic.cum_grid
         eff = np.empty(traffic.n)
         eff[0] = 0.0
-        np.cumsum(capped, out=eff[1:])
+        inc = eff[1:]
+        np.subtract(cum[1:], cum[:-1], out=inc)
+        cap = self.y_max * dt
+        self.cap_fraction = float(np.mean(inc > cap)) if len(inc) else 0.0
+        np.minimum(inc, cap, out=inc)
+        self.max_fluid_rate = float(inc.max() / dt) if len(inc) else 0.0
+        np.cumsum(inc, out=inc)
         eff.flags.writeable = False
         self._eff = eff
         self._dt = dt
         self._horizon = (traffic.n - 1) * dt
-        self.max_fluid_rate = float(capped.max() / dt) if len(capped) else 0.0
 
     @property
     def horizon(self) -> float:

@@ -1,9 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 
-from abprobe.cli import main
+import abprobe.experiment
+from abprobe.cli import _build_run_config_multi, build_parser, main
 from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER
 
 FAST = ["--sequences", "20", "--seed", "3"]
@@ -88,6 +90,31 @@ def test_non_finite_values_exit_2(tmp_path, capsys, flag, value):
     assert main(["run", "--sequences", "5", flag, value, "--out", str(tmp_path / "x.csv")]) == 2
     assert "must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_trace_beyond_physical_memory_exits_2_before_synthesis(
+    tmp_path, capsys, monkeypatch, command
+):
+    def refuse(params):
+        raise AssertionError("trace synthesis reached")
+
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    argv = [command, "--capacity", "1e9", "--sequences", "100000", "--out", str(out)]
+    assert main(argv) == 2
+    assert "GiB of physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_config_leaves_args_unchanged():
+    args = build_parser().parse_args(
+        ["sweep", "--capacity", "1e7,2e7", "--packets", "13,22", "--portions", "3"]
+    )
+    before = copy.deepcopy(vars(args))
+    base = _build_run_config_multi(args, {})
+    assert vars(args) == before
+    assert (base.capacity, base.packets, base.portions) == (10e6, 34, 3)
 
 
 def test_flags_accepted(tmp_path):

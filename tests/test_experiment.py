@@ -114,6 +114,12 @@ def test_finalize_rejects_non_finite():
         RunConfig(mu=float("inf")).finalize()
 
 
+def test_finalize_rejects_trace_beyond_physical_memory():
+    # 1 Gb/s for 1e5 sequences: a 3.3e10-sample trace, about 2.4 TB at its FFT
+    with pytest.raises(ValueError, match="GiB of physical memory"):
+        RunConfig(capacity=1e9, sequences=100_000).finalize()
+
+
 def test_estimate_csv_schema(tmp_path):
     rep = run(small_config())
     out = tmp_path / "est.csv"

@@ -1,15 +1,21 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from abprobe import fbm
 from abprobe.fbm import (
     FbmParams,
+    _next_fast_len,
     fgn_davies_harte,
     generate_trace,
     read_trace_csv,
     trace_from_samples,
     write_trace_csv,
 )
+from abprobe.path import PathModel
 
 
 def make_params(**kw):
@@ -202,3 +208,103 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.array_equal(omega, tr.omega)  # 17 sig digits round-trip exactly
     rebuilt = trace_from_samples(p, omega)
     assert rebuilt.cumulative_bits(2.25) == tr.cumulative_bits(2.25)
+
+
+def test_trace_csv_bytes_match_csv_writer(tmp_path):
+    tr = generate_trace(make_params(seed=4, mu=3.0, dt=0.3, horizon=7.0))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(tr, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "omega"])
+        for t, w in zip(tr.grid_times, tr.omega):
+            writer.writerow([f"{t:.12g}", f"{w:.17g}"])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+# -- bit identity with the straightforward formulas ----------------------------
+
+
+def reference_eigenvalues(hurst, m):
+    """Three k^2H powers per lag, the row by concatenation, rfft().real."""
+    two_h = 2.0 * hurst
+    half = m // 2
+    k = np.arange(half + 1, dtype=float)
+    gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    return np.fft.rfft(row).real
+
+
+def reference_trace(params):
+    """(omega, raw, clamped) by direct synthesis: sqrt-scaled spectrum from
+    the eigenvalues, raw = mu*t + sigma*omega, running max of max(0, raw)."""
+    rng = np.random.default_rng(params.seed)
+    n = params.n_samples - 1
+    if n == 1:
+        incr = rng.standard_normal(1)
+    else:
+        for m in (_next_fast_len(2 * n), 2 * n):
+            lam = reference_eigenvalues(params.hurst, m)
+            if lam.min() >= -1e-8 * lam.max():
+                break
+        lam = np.clip(lam, 0.0, None)
+        half = m // 2
+        z = rng.standard_normal(m)
+        spec = np.empty(half + 1, dtype=complex)
+        spec[0] = np.sqrt(m * lam[0]) * z[0]
+        spec[half] = np.sqrt(m * lam[half]) * z[half]
+        spec[1:half] = np.sqrt(m * lam[1:half] / 2.0) * (z[1:half] + 1j * z[half + 1 :])
+        incr = np.fft.irfft(spec, n=m)[:n]
+    incr = incr * params.dt**params.hurst
+    omega = np.concatenate([[0.0], np.cumsum(incr)])
+    raw = params.mu * (params.dt * np.arange(n + 1)) + params.sigma * omega
+    return omega, raw, np.maximum.accumulate(np.maximum(raw, 0.0))
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.99])
+@pytest.mark.parametrize("n_samples", [2, 8, 1001])
+def test_trace_bit_identical_to_reference(hurst, n_samples):
+    fbm._SCALE_CACHE.clear()
+    for seed in (3, 4):  # the second call reuses the cached spectral scale
+        p = make_params(hurst=hurst, mu=0.4, dt=0.5, horizon=0.5 * (n_samples - 1), seed=seed)
+        tr = generate_trace(p)
+        omega, raw, cum = reference_trace(p)
+        assert np.array_equal(tr.omega, omega)
+        assert np.array_equal(tr.cum_grid, cum)
+        assert tr.clamp_fraction == float(np.mean(cum > raw))
+        for t in np.linspace(0.0, p.dt * (n_samples - 1), 23):
+            pos = t / p.dt
+            j = min(int(pos), n_samples - 2)
+            frac = pos - j
+            assert tr.omega_at(t) == omega[j] + (omega[j + 1] - omega[j]) * frac
+            assert tr.cumulative_bits(t) == max(cum[j], raw[j] + (raw[j + 1] - raw[j]) * frac)
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.99])
+def test_embedding_eigenvalues_bit_identical(hurst):
+    for n in (2, 7, 1000):
+        m = _next_fast_len(2 * n)
+        lam = fbm._embedding_eigenvalues(n, hurst, m)
+        ref = reference_eigenvalues(hurst, m)
+        if ref.min() < -1e-8 * ref.max():
+            assert lam is None
+        else:
+            assert np.array_equal(lam, np.clip(ref, 0.0, None))
+
+
+def test_trace_build_peak_memory_per_sample():
+    # The bound is the measured ~40.8 B per sample (spectrum, FFT output and
+    # cached scale, 20 B per embedding point at m = 2n) plus a 15% margin;
+    # the parent build peaked at ~73 B.  tracemalloc does not see numpy's
+    # FFT working memory, which adds ~16 B per embedding point to peak RSS.
+    n = 2**20 + 1
+    p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
+    fbm._SCALE_CACHE.clear()
+    tracemalloc.start()
+    try:
+        PathModel(1e7, 1e8, generate_trace(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n < 47.0

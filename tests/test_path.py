@@ -334,3 +334,20 @@ def test_run_transit_matches_per_packet_reference(case, reset_queue):
         assert ab == pytest.approx(max(0.0, C - y), rel=1e-12)
     reports = strain_bounds_check(result, path, sched)
     assert len(reports) == 3 * len(send) and all(rep.passed for rep in reports)
+
+
+# -- effective volume against the straightforward build --------------------------
+
+@pytest.mark.parametrize("y_max", [0.5 * C, 0.95 * C, 3.0 * C])
+@pytest.mark.parametrize("horizon", [3e-4, 0.75, 2.0])
+def test_effective_volume_bit_identical_to_reference(y_max, horizon):
+    trace = fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
+    path = make_path(trace, y_max=y_max)
+    dt = trace.params.dt
+    inc = np.diff(trace.cum_grid)
+    capped = np.minimum(inc, y_max * dt)
+    assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
+    assert path.cap_fraction == float(np.mean(capped < inc))
+    assert path.max_fluid_rate == float(capped.max() / dt)
+    if y_max < C and trace.n > 2:
+        assert 0.0 < path.cap_fraction < 1.0  # the cap bites
