@@ -9,16 +9,14 @@ code 0 on success, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import fields, replace
 
-from .analysis import empirical_xi, lookup_coeffs, required_m
+from .analysis import lookup_coeffs, required_m
 from .experiment import (
     COMPARE_HEADER,
     SWEEP_HEADER,
-    ExperimentReport,
     RunConfig,
     compare_bart,
     model_grid_rows,
@@ -85,7 +83,6 @@ def _single(values, flag: str):
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     add = sub.add_argument
     add("--capacity", type=_parse_number_list, default=None, help="bottleneck capacity, bits/s")
-    add("--access-capacity", type=float, default=None, help="non-bottleneck link capacity, bits/s")
     add("--hurst", type=float, default=None, help="cross-traffic self-similarity index")
     add("--sigma", type=float, default=None, help="cross-traffic fluctuation factor, bits*s^-H")
     add("--mu", type=float, default=None, help="mean cross-traffic rate, bits/s")
@@ -133,7 +130,6 @@ def _build_run_config(args, file_cfg: dict) -> RunConfig:
         merged[key] = value
 
     direct = {
-        "access_capacity": args.access_capacity,
         "hurst": args.hurst,
         "sigma": args.sigma,
         "mu": args.mu,
@@ -204,10 +200,8 @@ def _cmd_sweep(args) -> int:
         seeds=seeds,
         paired=args.paired,
         max_workers=args.workers,
-        out=args.out,
     )
-    if not args.out:
-        _print_rows(SWEEP_HEADER, rows)
+    _write_rows(args.out, SWEEP_HEADER, rows)
     return 0
 
 
@@ -234,10 +228,8 @@ def _cmd_compare(args) -> int:
         initial_abs=initial_abs,
         seeds=seeds,
         max_workers=args.workers,
-        out=args.out,
     )
-    if not args.out:
-        _print_rows(COMPARE_HEADER, rows)
+    _write_rows(args.out, COMPARE_HEADER, rows)
     return 0
 
 
@@ -267,18 +259,8 @@ def _cmd_model_eval(args) -> int:
     packets = args.packets if args.packets is not None else list(range(16, 101, 6))
     portions = args.portions if args.portions is not None else [1, 2, 3, 4, 5]
     rows = model_grid_rows(base, packets=packets, portions=portions)
-    if args.out:
-        _write_rows(args.out, MODEL_HEADER, rows)
-    else:
-        _print_rows(MODEL_HEADER, rows)
+    _write_rows(args.out, MODEL_HEADER, rows)
     return 0
-
-
-def _print_rows(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(row[k]) for k in header])
 
 
 def build_parser() -> argparse.ArgumentParser:

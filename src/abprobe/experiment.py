@@ -10,9 +10,12 @@ deterministic grid order regardless of completion order.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -72,11 +75,11 @@ class RunConfig:
 
     Fields left at None are derived from the bottleneck capacity when the
     config is finalized:
-      access_capacity = 10 * capacity       sigma  = 0.025 * capacity
-      mu              = 0.4 * capacity      rate_min = 0.7 * capacity
-      rate_max        = 3.2 * capacity      y_max  = 0.95 * capacity
-      dt              = packet_bits / (4 * capacity)
-      initial_ab      = 0.5 * capacity      c_ref  = capacity
+      sigma    = 0.025 * capacity      mu         = 0.4 * capacity
+      rate_min = 0.7 * capacity        rate_max   = 3.2 * capacity
+      y_max    = 0.95 * capacity       initial_ab = 0.5 * capacity
+      dt       = packet_bits / (4 * capacity)
+      c_ref    = capacity
 
     The probing range deliberately brackets the nominal capacity from the
     congestion side: portions below the strain break measure nothing and
@@ -85,7 +88,6 @@ class RunConfig:
     """
 
     capacity: float = 10e6
-    access_capacity: float | None = None
     hurst: float = 0.7
     sigma: float | None = None
     mu: float | None = None
@@ -119,7 +121,6 @@ class RunConfig:
             raise ValueError(f"capacity must be > 0, got {c}")
         if self.sequences < 1:
             raise ValueError(f"sequences must be >= 1, got {self.sequences}")
-        access = 10.0 * c if self.access_capacity is None else self.access_capacity
         sigma = 0.025 * c if self.sigma is None else self.sigma
         mu = 0.4 * c if self.mu is None else self.mu
         rate_min = 0.7 * c if self.rate_min is None else self.rate_min
@@ -131,7 +132,6 @@ class RunConfig:
 
         cfg = replace(
             self,
-            access_capacity=access,
             sigma=sigma,
             mu=mu,
             rate_min=rate_min,
@@ -300,7 +300,7 @@ def run(
         raise ValueError(
             f"supplied trace was generated from {trace.params}, config needs {params}"
         )
-    path = PathModel(cfg.capacity, cfg.access_capacity, trace, cfg.y_max)
+    path = PathModel(cfg.capacity, trace, cfg.y_max)
     seq_cfg = cfg.sequence_config()
     fcfg = cfg.filter_config()
 
@@ -354,50 +354,23 @@ def _write_event_log(path, sched: ProbeSchedule, dep: np.ndarray) -> None:
             )
 
 
-# -- grid sweeps ----------------------------------------------------------
-
-
-def _grid_points(base: RunConfig, packets, portions, packet_sizes, capacities, paired):
-    packets = list(packets) if packets is not None else [base.packets]
-    portions = list(portions) if portions is not None else [base.portions]
-    packet_sizes = list(packet_sizes) if packet_sizes is not None else [base.packet_size]
-    capacities = list(capacities) if capacities is not None else [base.capacity]
-    axes = [packets, portions, packet_sizes, capacities]
-    if paired:
-        width = max(len(ax) for ax in axes)
-        for ax in axes:
-            if len(ax) not in (1, width):
-                raise ValueError(
-                    "paired sweep needs axes of equal length (or singletons); "
-                    f"got lengths {[len(a) for a in axes]}"
-                )
-        expanded = [ax * width if len(ax) == 1 else ax for ax in axes]
-        return list(zip(*expanded))
-    return [
-        (m, p, s, c)
-        for c in capacities
-        for s in packet_sizes
-        for m in packets
-        for p in portions
-    ]
-
-
-def _point_config(base: RunConfig, m, p, s, c, seed) -> RunConfig:
-    return replace(base, packets=m, portions=p, packet_size=s, capacity=c, seed=seed)
+# -- seed ensembles ------------------------------------------------------
+#
+# A sweep and a comparison are both a list of variants (RunConfig overrides)
+# run on every seed.  Each seed is one task that synthesizes its traffic once
+# and replays it while consecutive variants need the same trace.
 
 
 def _seed_task(args):
-    base, points, seed = args
+    base, variants, seed = args
     xis = []
-    cached_params = None
-    cached_trace = None
-    for m, p, s, c in points:
-        cfg = _point_config(base, m, p, s, c, seed).finalize()
-        params = cfg.fbm_params()
-        if params != cached_params:
-            cached_trace = generate_trace(params)
-            cached_params = params
-        xis.append(run(cfg, trace=cached_trace).xi)
+    params = trace = None
+    for overrides in variants:
+        cfg = replace(base, seed=seed, **overrides).finalize()
+        if cfg.fbm_params() != params:
+            params = cfg.fbm_params()
+            trace = generate_trace(params)
+        xis.append(run(cfg, trace=trace).xi)
     return seed, xis
 
 
@@ -410,6 +383,76 @@ def _map_seeds(task, base, payload, seeds, max_workers) -> dict:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(pool.map(task, tasks))
     return dict(map(task, tasks))
+
+
+def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[dict]:
+    """One row per (variant, seed) with that run's error under xi_key, then
+    the seed mean and median; columns(overrides, cfg) gives a variant's other
+    columns.  Every variant is validated before any trace is synthesized."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("an ensemble needs at least one seed")
+    cfgs = [replace(base, **v).finalize() for v in variants]
+    by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
+    rows = []
+    for idx, (overrides, cfg) in enumerate(zip(variants, cfgs)):
+        common = columns(overrides, cfg)
+        sims = [by_seed[seed][idx] for seed in seeds]
+        rows += [{**common, "seed": seed, xi_key: xi} for seed, xi in zip(seeds, sims)]
+        rows.append({**common, "seed": "mean", xi_key: float(np.mean(sims))})
+        rows.append({**common, "seed": "median", xi_key: float(np.median(sims))})
+    return rows
+
+
+def _model_xi(cfg: RunConfig) -> dict:
+    """Analytic and fitted-model error of a config whose derived fields are
+    filled; the fit covers P 1..5 and is nan outside it."""
+    xi_ana = analytic_xi(cfg.analytic_params()).xi
+    p = cfg.portions
+    if 1 <= p <= 5:
+        xi_emp = empirical_xi(lookup_coeffs(cfg.capacity, p), cfg.packets, p)
+    else:
+        xi_emp = float("nan")
+    return {"xi_analytic": xi_ana, "xi_empirical": xi_emp}
+
+
+def _write_rows(path, header, rows) -> None:
+    """The header's columns of rows as CSV, to path or, without one, to stdout."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(row[k]) for k in header])
+
+
+# -- grid sweeps ----------------------------------------------------------
+
+
+def _grid_points(base: RunConfig, packets, portions, packet_sizes, capacities, paired):
+    axes = {
+        "capacity": [base.capacity] if capacities is None else list(capacities),
+        "packet_size": [base.packet_size] if packet_sizes is None else list(packet_sizes),
+        "packets": [base.packets] if packets is None else list(packets),
+        "portions": [base.portions] if portions is None else list(portions),
+    }
+    if not paired:
+        return [dict(zip(axes, point)) for point in itertools.product(*axes.values())]
+    lengths = {name: len(ax) for name, ax in axes.items()}
+    width = max(lengths.values())
+    if any(n not in (1, width) for n in lengths.values()):
+        raise ValueError(
+            "paired sweep needs axes of equal length (or singletons); "
+            f"got lengths {lengths}"
+        )
+    expanded = [ax * width if len(ax) == 1 else ax for ax in axes.values()]
+    return [dict(zip(axes, point)) for point in zip(*expanded)]
+
+
+def _sweep_columns(overrides, cfg: RunConfig) -> dict:
+    return {
+        "M": cfg.packets, "P": cfg.portions, "C": cfg.capacity, "S": cfg.packet_size,
+        "H": cfg.hurst, "lambda": cfg.lam, **_model_xi(cfg),
+    }
 
 
 def sweep(
@@ -425,55 +468,23 @@ def sweep(
 ) -> list[dict]:
     """Run the grid x seeds cross product; one row per (point, seed) plus
     seed-aggregated rows, with analytic and fitted-model overlays per point."""
-    seeds = list(seeds)
     points = _grid_points(base, packets, portions, packet_sizes, capacities, paired)
-    # every point is validated before any trace is synthesized
-    cfgs = [_point_config(base, *point, seeds[0]).finalize() for point in points]
-    by_seed = _map_seeds(_seed_task, base, points, seeds, max_workers)
-
-    rows = []
-    for idx, ((m, p, s, c), cfg) in enumerate(zip(points, cfgs)):
-        xi_ana = analytic_xi(cfg.analytic_params()).xi
-        if 1 <= p <= 5:
-            xi_emp = empirical_xi(lookup_coeffs(c, p), m, p)
-        else:
-            xi_emp = float("nan")
-        common = {
-            "M": m, "P": p, "C": c, "S": s,
-            "H": cfg.hurst, "lambda": cfg.lam,
-            "xi_analytic": xi_ana, "xi_empirical": xi_emp,
-        }
-        sims = [by_seed[seed][idx] for seed in seeds]
-        for seed, xi in zip(seeds, sims):
-            rows.append({**common, "seed": seed, "xi_sim": xi})
-        rows.append({**common, "seed": "mean", "xi_sim": float(np.mean(sims))})
-        rows.append({**common, "seed": "median", "xi_sim": float(np.median(sims))})
-
+    rows = _ensemble_rows(base, points, seeds, max_workers, _sweep_columns, "xi_sim")
     if out is not None:
         _write_rows(out, SWEEP_HEADER, rows)
     return rows
 
 
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
-
-
 # -- estimator comparisons -------------------------------------------------
 
 
-def _compare_seed_task(args):
-    base, variants, seed = args
-    cfg0 = replace(base, seed=seed).finalize()
-    trace = generate_trace(cfg0.fbm_params())
-    xis = []
-    for p, initial_ab in variants:
-        cfg = replace(base, portions=p, initial_ab=initial_ab, seed=seed)
-        xis.append(run(cfg, trace=trace).xi)
-    return seed, xis
+def _compare_columns(overrides, cfg: RunConfig) -> dict:
+    ab = overrides["initial_ab"]
+    return {
+        "method": "bart" if cfg.portions == 1 else "mrbart",
+        "p": cfg.portions, "m": cfg.packets, "s": cfg.packet_size,
+        "initial_ab": float("nan") if ab is None else ab,
+    }
 
 
 def compare_bart(
@@ -490,24 +501,10 @@ def compare_bart(
     differences are purely estimator-side.  initial_abs sweeps the filter's
     initial AB guess; None keeps the config's default.
     """
-    seeds = list(seeds)
     p_values = [1] + [p for p in portions if p != 1]
     ab_values = list(initial_abs) if initial_abs is not None else [base.initial_ab]
-    variants = [(p, ab) for ab in ab_values for p in p_values]
-    results = _map_seeds(_compare_seed_task, base, variants, seeds, max_workers)
-
-    rows = []
-    for v_idx, (p, ab) in enumerate(variants):
-        method = "bart" if p == 1 else "mrbart"
-        ab_out = float("nan") if ab is None else ab
-        common = {"method": method, "p": p, "m": base.packets, "s": base.packet_size,
-                  "initial_ab": ab_out}
-        sims = [results[seed][v_idx] for seed in seeds]
-        for seed, xi in zip(seeds, sims):
-            rows.append({**common, "seed": seed, "xi": xi})
-        rows.append({**common, "seed": "mean", "xi": float(np.mean(sims))})
-        rows.append({**common, "seed": "median", "xi": float(np.median(sims))})
-
+    variants = [{"portions": p, "initial_ab": ab} for ab in ab_values for p in p_values]
+    rows = _ensemble_rows(base, variants, seeds, max_workers, _compare_columns, "xi")
     if out is not None:
         _write_rows(out, COMPARE_HEADER, rows)
     return rows
@@ -516,19 +513,9 @@ def compare_bart(
 def model_grid_rows(base: RunConfig, packets, portions) -> list[dict]:
     """Analytic and fitted-model error over an (M, P) grid at the base scenario."""
     cfg_probe = replace(base, packets=max(packets), portions=min(portions)).finalize()
-    rows = []
-    for p in portions:
-        for m in packets:
-            cfg = replace(cfg_probe, packets=m, portions=p)
-            xi_ana = analytic_xi(cfg.analytic_params()).xi
-            if 1 <= p <= 5:
-                xi_emp = empirical_xi(lookup_coeffs(cfg.capacity, p), m, p)
-            else:
-                xi_emp = float("nan")
-            rows.append(
-                {
-                    "M": m, "P": p, "C": cfg.capacity,
-                    "xi_analytic": xi_ana, "xi_empirical": xi_emp,
-                }
-            )
-    return rows
+    return [
+        {"M": m, "P": p, "C": cfg_probe.capacity,
+         **_model_xi(replace(cfg_probe, packets=m, portions=p))}
+        for p in portions
+        for m in packets
+    ]

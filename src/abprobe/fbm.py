@@ -250,8 +250,9 @@ def generate_trace(params: FbmParams) -> FbmTrace:
 
 
 def trace_from_samples(params: FbmParams, omega: np.ndarray) -> FbmTrace:
-    """Wrap externally supplied omega samples (e.g. re-imported from CSV)."""
-    return FbmTrace(params, omega)
+    """Wrap a float copy of externally supplied omega samples (e.g. re-imported
+    from CSV); the trace freezes its own array, so the caller's stays writable."""
+    return FbmTrace(params, np.array(omega, dtype=float))
 
 
 def write_trace_csv(trace: FbmTrace, path) -> None:

@@ -16,7 +16,7 @@ both.  Everything exposed is in bits/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,9 @@ __all__ = [
 ]
 
 GATE_THRESHOLD_DEFAULT = 0.005
+# degeneracy threshold on the normalized alpha_hat*c_ref: at or below it the
+# readout holds the previous sequence's value
+ALPHA_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,6 @@ class FilterConfig:
     initial_ab  initial AB guess (bits/s) mapped to the state via
                 alpha0 = 1/c_ref, beta0 = -initial_ab/c_ref
     ab_cap      clamp for the AB readout (bits/s)
-    alpha_min   degeneracy threshold on alpha_hat (s/bit); below it the
-                readout holds the previous sequence's value
     gate_threshold  |z| below this drops the portion from the update
                     (None disables gating)
     """
@@ -60,7 +61,6 @@ class FilterConfig:
     psi0: float = 1.0
     initial_ab: float | None = None
     ab_cap: float | None = None
-    alpha_min: float | None = None
     gate_threshold: float | None = GATE_THRESHOLD_DEFAULT
 
     def __post_init__(self) -> None:
@@ -78,10 +78,6 @@ class FilterConfig:
     @property
     def ab_cap_value(self) -> float:
         return self.c_ref if self.ab_cap is None else self.ab_cap
-
-    @property
-    def alpha_min_value(self) -> float:
-        return 1e-3 / self.c_ref if self.alpha_min is None else self.alpha_min
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,6 @@ class EstimateRecord:
 
     ab_hat: float
     raw_ab: float
-    state_after: FilterState
     portions_used: int
     degenerate: bool = False
 
@@ -221,23 +216,11 @@ def ab_estimate(
         raw = math.nan
     if last_ab is None:
         last_ab = config.initial_ab_value
-    if alpha <= config.alpha_min_value:
+    if alpha <= ALPHA_MIN / config.c_ref:
         ab = min(max(last_ab, 0.0), config.ab_cap_value)
-        return EstimateRecord(
-            ab_hat=ab,
-            raw_ab=raw,
-            state_after=state,
-            portions_used=portions_used,
-            degenerate=True,
-        )
+        return EstimateRecord(ab_hat=ab, raw_ab=raw, portions_used=portions_used, degenerate=True)
     ab = min(max(raw, 0.0), config.ab_cap_value)
-    return EstimateRecord(
-        ab_hat=ab,
-        raw_ab=raw,
-        state_after=state,
-        portions_used=portions_used,
-        degenerate=False,
-    )
+    return EstimateRecord(ab_hat=ab, raw_ab=raw, portions_used=portions_used)
 
 
 def process_sequence(

@@ -7,9 +7,8 @@ work while the server drains at unit rate, floored at zero with idle time
 accrued; each probe adds S_bits/C of work and departs FIFO after the workload
 it found on arrival.
 
-Propagation delays are zero and the access link only nominally exists, so a
-probe reaches the bottleneck at its send time and the receiver at its
-bottleneck departure.
+Propagation delays are zero, so a probe reaches the bottleneck at its send
+time and the receiver at its bottleneck departure.
 """
 
 from __future__ import annotations
@@ -85,19 +84,12 @@ class PathModel:
     def __init__(
         self,
         capacity: float,
-        access_capacity: float,
         traffic: FbmTrace,
         y_max: float | None = None,
     ):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
-        if access_capacity < capacity:
-            raise ValueError(
-                "bottleneck property violated: access_capacity "
-                f"{access_capacity} < capacity {capacity}"
-            )
         self.capacity = float(capacity)
-        self.access_capacity = float(access_capacity)
         self.traffic = traffic
         self.y_max = 0.95 * capacity if y_max is None else float(y_max)
         if self.y_max <= 0:

@@ -1,5 +1,7 @@
 import copy
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,11 @@ from abprobe.cli import _build_run_config_multi, build_parser, main
 from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER
 
 FAST = ["--sequences", "20", "--seed", "3"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def refuse(params):
+    raise AssertionError("trace synthesis reached")
 
 
 def read_csv(path):
@@ -96,15 +103,46 @@ def test_non_finite_values_exit_2(tmp_path, capsys, flag, value):
 def test_trace_beyond_physical_memory_exits_2_before_synthesis(
     tmp_path, capsys, monkeypatch, command
 ):
-    def refuse(params):
-        raise AssertionError("trace synthesis reached")
-
     monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
     out = tmp_path / "x.csv"
     argv = [command, "--capacity", "1e9", "--sequences", "100000", "--out", str(out)]
     assert main(argv) == 2
     assert "GiB of physical memory" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_bart_validates_every_variant_before_synthesis(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    out = tmp_path / "cmp.csv"
+    argv = ["compare-bart", "--packets", "17", "--portions", "2,9", "--out", str(out)]
+    assert main(argv) == 2
+    assert "M=17, P=9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_removed_access_capacity_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"access_capacity": 1e8}))
+    assert main(["run", "--config", str(cfg), "--sequences", "5"]) == 2
+    assert "unknown config key 'access_capacity'" in capsys.readouterr().err
+
+
+def readme_cli_commands():
+    """argv of every `abprobe ...` line in the README's CLI code block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("abprobe ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = readme_cli_commands()
+    assert len(commands) == 7
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: abprobe {shlex.join(argv)}")
 
 
 def test_sweep_config_leaves_args_unchanged():
@@ -120,7 +158,7 @@ def test_sweep_config_leaves_args_unchanged():
 def test_flags_accepted(tmp_path):
     out = tmp_path / "flags.csv"
     rc = main([
-        "run", "--sequences", "10", "--capacity", "1e7", "--access-capacity", "1e8",
+        "run", "--sequences", "10", "--capacity", "1e7",
         "--hurst", "0.7", "--sigma", "2e5", "--mu", "4e6", "--packets", "22",
         "--portions", "3", "--packet-size", "900", "--rate-min", "1e6",
         "--rate-max", "1.2e7", "--lambda", "1e-4", "--initial-ab", "5e6",

@@ -27,7 +27,6 @@ def small_config(**kw):
 
 def test_finalize_fills_capacity_scaled_defaults():
     cfg = RunConfig(capacity=2e7).finalize()
-    assert cfg.access_capacity == 2e8
     assert cfg.sigma == pytest.approx(0.025 * 2e7)
     assert cfg.mu == pytest.approx(0.4 * 2e7)
     assert cfg.rate_min == pytest.approx(0.7 * 2e7)
@@ -89,7 +88,7 @@ def test_event_log_bytes(tmp_path):
 
     # the same values written row by row through csv.writer and _fmt
     seq = cfg.sequence_config()
-    path = PathModel(cfg.capacity, cfg.access_capacity, generate_trace(cfg.fbm_params()), cfg.y_max)
+    path = PathModel(cfg.capacity, generate_trace(cfg.fbm_params()), cfg.y_max)
     rates = draw_portion_rates(seq, np.random.default_rng([cfg.seed, 1]), 12)
     sched = build_schedule(seq, rates, np.arange(12) * cfg.inter_sequence_gap)
     send = sched.send_times
@@ -192,6 +191,23 @@ def test_compare_bart_shares_traffic():
     per_seed = [r for r in rows if isinstance(r["seed"], int)]
     assert len(per_seed) == 4  # 2 methods x 2 seeds
     assert all(np.isfinite(r["xi"]) for r in per_seed)
+
+
+def test_compare_bart_and_sweep_replay_the_same_runs():
+    base = small_config(sequences=15, packets=17)
+    compared = compare_bart(base, portions=(2,), seeds=(0, 1))
+    swept = sweep(base, packets=[13, 17], portions=[2, 3], seeds=(0, 1))
+    mrbart = {r["seed"]: r["xi"] for r in compared if r["method"] == "mrbart"}
+    sim = {r["seed"]: r["xi_sim"] for r in swept if (r["M"], r["P"]) == (17, 2)}
+    assert list(mrbart) == [0, 1, "mean", "median"]
+    assert mrbart == sim
+
+
+def test_ensembles_reject_an_empty_seed_list():
+    with pytest.raises(ValueError, match="at least one seed"):
+        sweep(small_config(), packets=[13], seeds=())
+    with pytest.raises(ValueError, match="at least one seed"):
+        compare_bart(small_config(), seeds=[])
 
 
 def test_model_grid_rows_monotone_analytic():

@@ -160,6 +160,17 @@ def test_monotone_clamp_by_hand():
     assert tr.clamp_fraction == pytest.approx(1.0 / 3.0)
 
 
+def test_trace_from_samples_leaves_caller_array_writable():
+    p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
+    w = np.array([0.0, -2.0, 1.0])
+    tr = trace_from_samples(p, w)
+    assert w.flags.writeable and w.tolist() == [0.0, -2.0, 1.0]
+    assert not tr.omega.flags.writeable
+    w[1] = 5.0  # the trace holds its own copy
+    assert tr.omega.tolist() == [0.0, -2.0, 1.0]
+    assert tr.cumulative_bits(1.0) == 0.0
+
+
 def test_cumulative_nondecreasing_and_rate_nonnegative():
     tr = generate_trace(make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5))
     ts = np.linspace(0.0, 20.0, 500)
@@ -303,7 +314,7 @@ def test_trace_build_peak_memory_per_sample():
     fbm._SCALE_CACHE.clear()
     tracemalloc.start()
     try:
-        PathModel(1e7, 1e8, generate_trace(p))
+        PathModel(1e7, generate_trace(p))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -29,7 +29,7 @@ def fbm_trace(seed=0, mu=4e6, sigma=2e5, horizon=20.0, dt=3e-4):
 
 
 def make_path(trace, capacity=C, y_max=None):
-    return PathModel(capacity=capacity, access_capacity=10 * capacity, traffic=trace, y_max=y_max)
+    return PathModel(capacity=capacity, traffic=trace, y_max=y_max)
 
 
 def schedule_at_rate(u, m=11, p=1, t_start=0.0, packet_size=1500.0):
@@ -188,18 +188,12 @@ def test_slow_path_matches_fast_path_when_fluid_below_capacity():
     # force the slow branch by lying about the max rate via y_max on a bursty trace
     bursty = fbm_trace(seed=11, sigma=4e6, mu=9e6)
     p_fast = make_path(bursty)                      # capped at 0.95 C
-    p_slow = PathModel(C, 10 * C, bursty, y_max=3.0 * C)
+    p_slow = PathModel(C, bursty, y_max=3.0 * C)
     assert p_slow.max_fluid_rate >= C
     sched = schedule_at_rate(9e6, m=18, t_start=0.3)
     r_slow, s_slow = transit_sequence(p_slow, sched, HopWorkload())
     assert np.all(np.diff(r_slow.departures) >= S_BITS / C - 1e-12)
     assert s_slow.w >= 0.0 and s_slow.idle_accum >= 0.0
-
-
-def test_bottleneck_property_enforced():
-    trace = constant_trace(mu=0.0)
-    with pytest.raises(ValueError):
-        PathModel(capacity=C, access_capacity=C / 2, traffic=trace)
 
 
 # -- strain bounds audit ---------------------------------------------------------
@@ -312,7 +306,7 @@ def run_schedule(n, spacing, rate_min, rate_max, m=22, p=3, seed=5):
 def test_run_transit_matches_per_packet_reference(case, reset_queue):
     if case == "bursty":
         # fluid up to 3C: the queue fills inside gaps, so knots matter
-        path = PathModel(C, 10 * C, fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=12.0), y_max=3.0 * C)
+        path = PathModel(C, fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=12.0), y_max=3.0 * C)
         assert path.max_fluid_rate >= C
         sched = run_schedule(50, 0.2, 6e6, 3e7)
     else:
