@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: run, sweep, compare-bart, model-eval.  Config precedence is
-defaults < JSON config file (flat keys mirroring the long flag names) < flags.
+defaults < JSON config file (flat keys mirroring the long flag names of the
+scenario fields; run options stay on the command line) < flags.
 Every subcommand is a pure function of (config, seed) to bytes on disk; exit
 code 0 on success, 2 on configuration errors.
 """
@@ -123,10 +124,12 @@ def _build_run_config(args, file_cfg: dict) -> RunConfig:
             if value:
                 merged["gate_threshold"] = None
             continue
-        if key in ("seeds", "workers", "out", "paired", "event_log"):
-            continue
         if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(
+                f"unknown config key {key!r}; a config file holds scenario fields, and "
+                "run options (--seeds, --workers, --out, --paired, --event-log) go on "
+                "the command line"
+            )
         merged[key] = value
 
     direct = {
@@ -168,17 +171,12 @@ def _cmd_run(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     base = _build_run_config(args, file_cfg)
     report = run(base, event_log=args.event_log)
-    if args.out:
-        report.to_csv(args.out)
-        dest = args.out
-    else:
-        report.to_csv(sys.stdout)
-        dest = "<stdout>"
+    report.to_csv(args.out)
     print(
         f"sequences={report.n} xi={report.xi:.6g} "
         f"clamp_fraction={report.clamp_fraction:.4g} "
-        f"cap_fraction={report.cap_fraction:.4g} csv={dest}",
-        file=sys.stderr if not args.out else sys.stdout,
+        f"cap_fraction={report.cap_fraction:.4g} csv={args.out or '<stdout>'}",
+        file=sys.stdout if args.out else sys.stderr,
     )
     return 0
 

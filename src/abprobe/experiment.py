@@ -14,6 +14,7 @@ import contextlib
 import csv
 import itertools
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,9 +24,10 @@ import numpy as np
 
 from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, normalized_mse
 from .fbm import FbmParams, FbmTrace, _next_fast_len, generate_trace
-from .kalman import FilterConfig, initial_state, process_sequence
+from .kalman import GATE_THRESHOLD_DEFAULT, FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
 from .probing import (
+    R_FLOOR_DEFAULT,
     ProbeSchedule,
     SequenceConfig,
     StrainMeasurement,
@@ -59,6 +61,9 @@ COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 # output, cached scale and numpy's FFT working memory (peak RSS over the
 # embedding length on the 3.3 M- and 10 M-sample runs: 37.0 and 36.3 B)
 PEAK_BYTES_PER_POINT = 37
+
+# what a value of each RunConfig annotation must be; float fields take any real
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "bool": (bool, "true or false")}
 
 
 def _fmt(x) -> str:
@@ -98,11 +103,11 @@ class RunConfig:
     rate_min: float | None = None
     rate_max: float | None = None
     inter_sequence_gap: float = 1.0
-    lam: float = 1e-4
+    lam: float = FilterConfig.lam
     psi0: float = 0.02
     initial_ab: float | None = None
-    gate_threshold: float | None = 0.005
-    r_floor: float = 1e-6
+    gate_threshold: float | None = GATE_THRESHOLD_DEFAULT
+    r_floor: float = R_FLOOR_DEFAULT
     seed: int = 0
     reset_queue: bool = False
     dt: float | None = None
@@ -114,7 +119,12 @@ class RunConfig:
         actionable message on any inconsistency."""
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if value is None and f.type.endswith("| None"):
+                continue
+            kind, what = _FIELD_KINDS.get(f.type, (numbers.Real, "a number"))
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if not isinstance(value, numbers.Integral) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be a finite number, got {value}")
         c = self.capacity
         if c <= 0:
@@ -141,6 +151,9 @@ class RunConfig:
             initial_ab=initial_ab,
         )
         cfg.sequence_config()  # validates M/P/rates/packet size
+        cfg.filter_config()  # validates lam/psi0/c_ref
+        if cfg.r_floor <= 0:
+            raise ValueError(f"r_floor must be > 0, got {cfg.r_floor}")
         worst_span = (cfg.packets - 1) * packet_bits / rate_min
         if worst_span > cfg.inter_sequence_gap:
             raise ValueError(
@@ -253,32 +266,12 @@ class ExperimentReport:
             self.config.capacity,
         )
 
-    def to_csv(self, path_or_file) -> None:
-        if hasattr(path_or_file, "write"):
-            self._write_csv(path_or_file)
-        else:
-            with open(path_or_file, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ESTIMATE_HEADER)
-        for k in range(self.n):
-            writer.writerow(
-                [
-                    k,
-                    _fmt(self.t_start[k]),
-                    _fmt(self.true_ab[k]),
-                    _fmt(self.ab_hat[k]),
-                    _fmt(self.raw_ab[k]),
-                    _fmt(self.alpha_hat[k]),
-                    _fmt(self.beta_hat[k]),
-                    _fmt(self.psi00[k]),
-                    _fmt(self.psi01[k]),
-                    _fmt(self.psi11[k]),
-                    int(self.portions_used[k]),
-                ]
-            )
+    def to_csv(self, path) -> None:
+        """The estimate stream, one row per sequence, to path or, with None, to stdout."""
+        columns = {"seq_id": range(self.n), "t": self.t_start.tolist()}
+        columns.update((name, getattr(self, name).tolist()) for name in ESTIMATE_HEADER[2:])
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        _write_rows(path, ESTIMATE_HEADER, rows)
 
 
 def run(

@@ -2,8 +2,9 @@
 
 The cumulative cross-traffic volume is b(t) = mu*t + sigma*omega(t), where
 omega is standard fBm with Var(omega(t)) = |t|^(2H).  Raw b(t) can decrease
-(omega is signed); traffic volumes cannot, so queries return the monotone
-clamp b~(t) = max_{s<=t} max(0, b(s)).
+(omega is signed); traffic volumes cannot, so the trace keeps the monotone
+clamp b~(t) = max_{s<=t} max(0, b(s)) on its sample grid.  Volume and rate
+queries between grid points belong to the path (abprobe.path.PathModel).
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class FbmParams:
 class FbmTrace:
     """A sampled omega(t) path plus the clamped cumulative-volume grid.
 
-    Immutable after construction; all queries are pure, so a trace may be
-    shared freely across workers.
+    Immutable after construction, so a trace may be shared freely across
+    workers.
     """
 
     def __init__(self, params: FbmParams, omega: np.ndarray):
@@ -189,10 +190,6 @@ class FbmTrace:
         return self.omega.shape[0]
 
     @property
-    def horizon(self) -> float:
-        return self.params.horizon
-
-    @property
     def grid_times(self) -> np.ndarray:
         return self.params.dt * np.arange(self.n)
 
@@ -200,40 +197,6 @@ class FbmTrace:
     def cum_grid(self) -> np.ndarray:
         """Clamped cumulative bits at grid points (non-decreasing)."""
         return self._cum
-
-    def _check_time(self, t: float) -> float:
-        tmax = (self.n - 1) * self.params.dt
-        if t < -1e-12 or t > tmax * (1 + 1e-12) + 1e-12:
-            raise ValueError(f"t={t} outside trace domain [0, {tmax}]")
-        return min(max(t, 0.0), tmax)
-
-    def omega_at(self, t: float) -> float:
-        """omega(t), linearly interpolated between grid samples."""
-        t = self._check_time(t)
-        pos = t / self.params.dt
-        j = min(int(pos), self.n - 2)
-        frac = pos - j
-        return float(self.omega[j] + (self.omega[j + 1] - self.omega[j]) * frac)
-
-    def cumulative_bits(self, t: float) -> float:
-        """Clamped cumulative cross-traffic volume b~(t) in bits."""
-        t = self._check_time(t)
-        pos = t / self.params.dt
-        j = min(int(pos), self.n - 2)
-        frac = pos - j
-        lo, hi = self._raw_at(j), self._raw_at(j + 1)
-        return float(max(self._cum[j], lo + (hi - lo) * frac))
-
-    def _raw_at(self, j: int) -> float:
-        """Raw b at grid point j, by the same formula as the clamped grid."""
-        p = self.params
-        return p.mu * (p.dt * j) + p.sigma * self.omega[j]
-
-    def average_rate(self, t: float, delta: float) -> float:
-        """Mean cross-traffic rate over [t, t+delta] in bits/s (>= 0)."""
-        if delta <= 0.0:
-            raise ValueError(f"delta must be > 0, got {delta}")
-        return (self.cumulative_bits(t + delta) - self.cumulative_bits(t)) / delta
 
 
 def generate_trace(params: FbmParams) -> FbmTrace:

@@ -78,7 +78,9 @@ class PathModel:
 
     The trace's clamped cumulative volume is additionally rate-capped at
     y_max (default 0.95*capacity) so the bottleneck keeps positive residual
-    bandwidth; cap_fraction reports how often the cap bit.
+    bandwidth; cap_fraction reports how often the cap bit.  This effective
+    volume answers every cross-traffic volume and rate query
+    (cumulative_cross_bits, cross_rate).
     """
 
     def __init__(

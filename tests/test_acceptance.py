@@ -22,6 +22,7 @@ from abprobe.cli import main
 from abprobe.experiment import RunConfig, compare_bart, run, sweep
 from abprobe.fbm import FbmParams, generate_trace
 from abprobe.kalman import FilterState, update_sequential, update_vector
+from abprobe.path import PathModel
 from abprobe.probing import StrainMeasurement
 
 C10 = 10e6
@@ -125,8 +126,10 @@ def test_criterion_4_fbm_fidelity():
             tr = generate_trace(
                 FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s)
             )
+            path = PathModel(100.0, tr)  # the 95 rate ceiling never binds at mu=50
+            assert path.cap_fraction == 0.0
             for j, d in enumerate(deltas):
-                rates[s, j] = tr.average_rate(1.0, d)
+                rates[s, j] = path.cross_rate(1.0, d)
         var = rates.var(axis=0, ddof=1)
         slope = np.polyfit(np.log(deltas), np.log(var), 1)[0]
         results[hurst] = slope

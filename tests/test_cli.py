@@ -127,6 +127,48 @@ def test_removed_access_capacity_key_exits_2(tmp_path, capsys):
     assert "unknown config key 'access_capacity'" in capsys.readouterr().err
 
 
+def test_run_options_in_config_file_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": "0:3", "out": str(tmp_path / "x.csv")}))
+    assert main(["sweep", "--config", str(cfg), "--packets", "13"]) == 2
+    assert "go on the command line" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("packets", "34", "packets must be an integer"),
+        ("packets", [13, 22], "packets must be an integer"),
+        ("sequences", 5.5, "sequences must be an integer"),
+        ("capacity", "1e7", "capacity must be a number"),
+        ("reset_queue", 1, "reset_queue must be true or false"),
+    ],
+)
+def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, file_cfg, message",
+    [(["--lambda", "-1"], {}, "lam must be >= 0"), ([], {"r_floor": 0.0}, "r_floor must be > 0")],
+)
+def test_bad_filter_values_exit_2_before_synthesis(
+    tmp_path, capsys, monkeypatch, flags, file_cfg, message
+):
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def readme_cli_commands():
     """argv of every `abprobe ...` line in the README's CLI code block."""
     block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

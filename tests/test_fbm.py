@@ -94,69 +94,75 @@ def test_fbm_covariance_monte_carlo():
 
 
 def test_stationary_increments_ks():
-    # increment law over [t, t+tau] does not depend on t
-    tau, horizon = 1.0, 8.0
+    # increment law over [t, t+1] does not depend on t (grid points on a unit grid)
+    horizon = 8
     n_traces = 10_000
     a = np.empty(n_traces)
     b = np.empty(n_traces)
     for s in range(n_traces):
         tr = generate_trace(FbmParams(hurst=0.7, sigma=1.0, mu=0.0, dt=1.0, horizon=horizon, seed=s))
-        a[s] = tr.omega_at(tau) - tr.omega_at(0.0)
-        b[s] = tr.omega_at(horizon / 2 + tau) - tr.omega_at(horizon / 2)
+        a[s] = tr.omega[1] - tr.omega[0]
+        b[s] = tr.omega[horizon // 2 + 1] - tr.omega[horizon // 2]
     _, pvalue = stats.ks_2samp(a, b)
     assert pvalue > 0.01
 
 
 def test_variance_scaling_slope():
-    # log Var(average_rate) vs log delta has slope 2H - 2
+    # log Var(windowed rate) vs log delta has slope 2H - 2
     hurst = 0.7
     deltas = np.array([0.25, 0.5, 1.0, 2.0, 2.5])
     n_traces = 10_000
-    # mu large enough that the monotone clamp never bites
+    # mu large enough that the monotone clamp never bites, and a rate
+    # ceiling (0.95 * 100) far above the traffic
     rates = np.empty((n_traces, len(deltas)))
     for s in range(n_traces):
         tr = generate_trace(FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s))
+        path = PathModel(100.0, tr)
+        assert path.cap_fraction == 0.0
         for j, d in enumerate(deltas):
-            rates[s, j] = tr.average_rate(1.0, d)
+            rates[s, j] = path.cross_rate(1.0, d)
     var = rates.var(axis=0, ddof=1)
     slope = np.polyfit(np.log(deltas), np.log(var), 1)[0]
     assert abs(slope - (2 * hurst - 2)) < 0.05
 
 
 def test_rate_variance_value_at_delta4():
-    # Var(average_rate over delta) = sigma^2 delta^(2H-2): 4^-0.6 = 0.43528
+    # Var(rate over delta) = sigma^2 delta^(2H-2): 4^-0.6 = 0.43528
     expected = 4.0**-0.6
     n_traces = 10_000
     vals = np.empty(n_traces)
     for s in range(n_traces):
         tr = generate_trace(FbmParams(hurst=0.7, sigma=1.0, mu=50.0, dt=1.0, horizon=4.0, seed=s))
-        vals[s] = tr.average_rate(0.0, 4.0) - 50.0
+        path = PathModel(100.0, tr)
+        assert path.cap_fraction == 0.0
+        vals[s] = path.cross_rate(0.0, 4.0) - 50.0
     var = vals.var(ddof=1)
     se = var * np.sqrt(2.0 / (n_traces - 1))
     assert abs(var - expected) < 3.0 * se
 
 
-# -- volume queries -----------------------------------------------------------
+# -- volume queries (through the path; its rate ceiling never binds here) ------
 
 def test_cumulative_bits_zero_at_origin():
     tr = generate_trace(make_params(sigma=1.0, mu=5e6))
-    assert tr.cumulative_bits(0.0) == 0.0
+    assert PathModel(1e7, tr).cumulative_cross_bits(0.0) == 0.0
 
 
 def test_cumulative_bits_deterministic_fluid():
-    tr = generate_trace(make_params(sigma=0.0, mu=5e6, dt=0.5, horizon=4.0))
-    assert tr.cumulative_bits(2.0) == pytest.approx(1e7, rel=1e-12)
-    assert tr.average_rate(0.7, 2.3) == pytest.approx(5e6, rel=1e-12)
+    path = PathModel(1e7, generate_trace(make_params(sigma=0.0, mu=5e6, dt=0.5, horizon=4.0)))
+    assert path.cumulative_cross_bits(2.0) == pytest.approx(1e7, rel=1e-12)
+    assert path.cross_rate(0.7, 2.3) == pytest.approx(5e6, rel=1e-12)
 
 
 def test_monotone_clamp_by_hand():
     # mu=1, sigma=1, omega(1) = -2: raw b(1) = -1 -> clamped to 0
     p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
     tr = trace_from_samples(p, np.array([0.0, -2.0, 1.0]))
-    assert tr.cumulative_bits(1.0) == 0.0
-    assert tr.cumulative_bits(0.5) == 0.0  # raw -0.5 clamps to running max 0
+    path = PathModel(10.0, tr)
+    assert path.cumulative_cross_bits(1.0) == 0.0
+    assert path.cumulative_cross_bits(0.5) == 0.0  # between two clamped grid points of 0
     # raw recovers: b(2) = 2 + 1 = 3
-    assert tr.cumulative_bits(2.0) == pytest.approx(3.0)
+    assert path.cumulative_cross_bits(2.0) == pytest.approx(3.0)
     assert tr.clamp_fraction == pytest.approx(1.0 / 3.0)
 
 
@@ -168,28 +174,29 @@ def test_trace_from_samples_leaves_caller_array_writable():
     assert not tr.omega.flags.writeable
     w[1] = 5.0  # the trace holds its own copy
     assert tr.omega.tolist() == [0.0, -2.0, 1.0]
-    assert tr.cumulative_bits(1.0) == 0.0
+    assert PathModel(10.0, tr).cumulative_cross_bits(1.0) == 0.0
 
 
 def test_cumulative_nondecreasing_and_rate_nonnegative():
-    tr = generate_trace(make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5))
+    path = PathModel(1e3, generate_trace(make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)))
+    assert path.cap_fraction == 0.0
     ts = np.linspace(0.0, 20.0, 500)
-    vals = np.array([tr.cumulative_bits(t) for t in ts])
+    vals = np.array([path.cumulative_cross_bits(t) for t in ts])
     assert np.all(np.diff(vals) >= -1e-12)
     for t in (0.0, 3.3, 11.7):
-        assert tr.average_rate(t, 1.3) >= 0.0
+        assert path.cross_rate(t, 1.3) >= 0.0
 
 
 def test_query_domain_errors():
-    tr = generate_trace(make_params())
+    path = PathModel(10.0, generate_trace(make_params()))
     with pytest.raises(ValueError):
-        tr.cumulative_bits(-0.5)
+        path.cumulative_cross_bits(-0.5)
     with pytest.raises(ValueError):
-        tr.cumulative_bits(5.0)
+        path.cumulative_cross_bits(5.0)
     with pytest.raises(ValueError):
-        tr.average_rate(3.0, 2.0)
+        path.cross_rate(3.0, 2.0)
     with pytest.raises(ValueError):
-        tr.average_rate(1.0, 0.0)
+        path.cross_rate(1.0, 0.0)
 
 
 def test_trace_generation_at_awkward_sizes():
@@ -218,7 +225,7 @@ def test_trace_csv_round_trip(tmp_path):
     assert np.allclose(t, tr.grid_times)
     assert np.array_equal(omega, tr.omega)  # 17 sig digits round-trip exactly
     rebuilt = trace_from_samples(p, omega)
-    assert rebuilt.cumulative_bits(2.25) == tr.cumulative_bits(2.25)
+    assert np.array_equal(rebuilt.cum_grid, tr.cum_grid)
 
 
 def test_trace_csv_bytes_match_csv_writer(tmp_path):
@@ -284,12 +291,6 @@ def test_trace_bit_identical_to_reference(hurst, n_samples):
         assert np.array_equal(tr.omega, omega)
         assert np.array_equal(tr.cum_grid, cum)
         assert tr.clamp_fraction == float(np.mean(cum > raw))
-        for t in np.linspace(0.0, p.dt * (n_samples - 1), 23):
-            pos = t / p.dt
-            j = min(int(pos), n_samples - 2)
-            frac = pos - j
-            assert tr.omega_at(t) == omega[j] + (omega[j + 1] - omega[j]) * frac
-            assert tr.cumulative_bits(t) == max(cum[j], raw[j] + (raw[j + 1] - raw[j]) * frac)
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.99])
