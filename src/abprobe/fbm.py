@@ -9,7 +9,6 @@ queries between grid points belong to the path (abprobe.path.PathModel).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ __all__ = [
     "fgn_davies_harte",
     "generate_trace",
     "trace_from_samples",
-    "write_trace_csv",
-    "read_trace_csv",
 ]
 
 
@@ -190,10 +187,6 @@ class FbmTrace:
         return self.omega.shape[0]
 
     @property
-    def grid_times(self) -> np.ndarray:
-        return self.params.dt * np.arange(self.n)
-
-    @property
     def cum_grid(self) -> np.ndarray:
         """Clamped cumulative bits at grid points (non-decreasing)."""
         return self._cum
@@ -213,28 +206,6 @@ def generate_trace(params: FbmParams) -> FbmTrace:
 
 
 def trace_from_samples(params: FbmParams, omega: np.ndarray) -> FbmTrace:
-    """Wrap a float copy of externally supplied omega samples (e.g. re-imported
-    from CSV); the trace freezes its own array, so the caller's stays writable."""
+    """Wrap a float copy of externally supplied omega samples (e.g. built by
+    hand); the trace freezes its own array, so the caller's stays writable."""
     return FbmTrace(params, np.array(omega, dtype=float))
-
-
-def write_trace_csv(trace: FbmTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,omega\n")
-        fh.writelines(
-            f"{t:.12g},{w:.17g}\n"
-            for t, w in zip(trace.grid_times.tolist(), trace.omega.tolist())
-        )
-
-
-def read_trace_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `t,omega` CSV back into (t, omega) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["t", "omega"]:
-            raise ValueError(f"unexpected trace CSV header: {header}")
-        rows = [(float(r[0]), float(r[1])) for r in reader]
-    t = np.array([r[0] for r in rows])
-    omega = np.array([r[1] for r in rows])
-    return t, omega

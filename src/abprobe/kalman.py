@@ -44,8 +44,8 @@ ALPHA_MIN = 1e-3
 class FilterConfig:
     """Estimator knobs.
 
-    c_ref       rate normalization (bits/s); default choice is the probing
-                rate_max of the consuming scenario
+    c_ref       rate normalization (bits/s); RunConfig.filter_config uses the
+                bottleneck capacity unless the scenario sets c_ref
     lam         process-noise level, per-step variance added to each
                 normalized state component
     psi0        initial error covariance scale (Psi_0 = psi0 * I, normalized)

@@ -129,9 +129,10 @@ class PathModel:
         out = self._eff[j] + (self._eff[j + 1] - self._eff[j]) * frac
         return float(out) if np.isscalar(t) else out
 
-    def cross_rate(self, t: float, delta: float) -> float:
-        """Mean effective cross rate over [t, t+delta] (bits/s)."""
-        if delta <= 0:
+    def cross_rate(self, t: float, delta):
+        """Mean effective cross rate over [t, t+delta] (bits/s); delta may be
+        an array of windows."""
+        if np.any(np.asarray(delta) <= 0):
             raise ValueError(f"delta must be > 0, got {delta}")
         return (
             self.cumulative_cross_bits(t + delta) - self.cumulative_cross_bits(t)

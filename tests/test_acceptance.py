@@ -128,8 +128,7 @@ def test_criterion_4_fbm_fidelity():
             )
             path = PathModel(100.0, tr)  # the 95 rate ceiling never binds at mu=50
             assert path.cap_fraction == 0.0
-            for j, d in enumerate(deltas):
-                rates[s, j] = path.cross_rate(1.0, d)
+            rates[s] = path.cross_rate(1.0, deltas)
         var = rates.var(axis=0, ddof=1)
         slope = np.polyfit(np.log(deltas), np.log(var), 1)[0]
         results[hurst] = slope

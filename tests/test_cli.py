@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import abprobe.experiment
-from abprobe.cli import _build_run_config_multi, build_parser, main
+from abprobe.cli import _scenario, build_parser, main
 from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER
 
 FAST = ["--sequences", "20", "--seed", "3"]
@@ -169,6 +169,38 @@ def test_bad_filter_values_exit_2_before_synthesis(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare-bart", "--packets", "13,22"],
+        ["sweep", "--initial-ab", "2e6,5e6"],
+        ["compare-bart", "--capacity", "1e7,2e7"],
+        ["model-eval", "--capacity", "1e7,7e7"],
+        ["run", "--seeds", "3:6"],
+        ["sweep", "--workers", "0"],
+        ["sweep", "--workers", "-3"],
+    ],
+)
+def test_flag_a_subcommand_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    try:
+        rc = main([*argv, "--sequences", "5", "--out", str(out)])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert argv[1] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lambda_config_key_sets_lam(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lambda": -1}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "lam must be >= 0" in capsys.readouterr().err
+
+
 def readme_cli_commands():
     """argv of every `abprobe ...` line in the README's CLI code block."""
     block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -192,7 +224,7 @@ def test_sweep_config_leaves_args_unchanged():
         ["sweep", "--capacity", "1e7,2e7", "--packets", "13,22", "--portions", "3"]
     )
     before = copy.deepcopy(vars(args))
-    base = _build_run_config_multi(args, {})
+    base = _scenario(args)
     assert vars(args) == before
     assert (base.capacity, base.packets, base.portions) == (10e6, 34, 3)
 

@@ -1,4 +1,3 @@
-import csv
 import tracemalloc
 
 import numpy as np
@@ -11,9 +10,7 @@ from abprobe.fbm import (
     _next_fast_len,
     fgn_davies_harte,
     generate_trace,
-    read_trace_csv,
     trace_from_samples,
-    write_trace_csv,
 )
 from abprobe.path import PathModel
 
@@ -56,6 +53,8 @@ def test_trace_deterministic_under_seed():
     a = generate_trace(p)
     b = generate_trace(p)
     assert np.array_equal(a.omega, b.omega)
+    # rebuilt from its omega samples, a trace has the same clamped volume
+    assert np.array_equal(trace_from_samples(p, a.omega).cum_grid, a.cum_grid)
 
 
 def test_different_seeds_differ():
@@ -119,8 +118,7 @@ def test_variance_scaling_slope():
         tr = generate_trace(FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s))
         path = PathModel(100.0, tr)
         assert path.cap_fraction == 0.0
-        for j, d in enumerate(deltas):
-            rates[s, j] = path.cross_rate(1.0, d)
+        rates[s] = path.cross_rate(1.0, deltas)
     var = rates.var(axis=0, ddof=1)
     slope = np.polyfit(np.log(deltas), np.log(var), 1)[0]
     assert abs(slope - (2 * hurst - 2)) < 0.05
@@ -197,6 +195,8 @@ def test_query_domain_errors():
         path.cross_rate(3.0, 2.0)
     with pytest.raises(ValueError):
         path.cross_rate(1.0, 0.0)
+    with pytest.raises(ValueError):
+        path.cross_rate(1.0, np.array([0.5, 0.0]))
 
 
 def test_trace_generation_at_awkward_sizes():
@@ -212,33 +212,6 @@ def test_fgn_rejects_bad_args():
         fgn_davies_harte(10, 1.2, rng)
     with pytest.raises(ValueError):
         fgn_davies_harte(0, 0.7, rng)
-
-
-# -- CSV round trip -----------------------------------------------------------
-
-def test_trace_csv_round_trip(tmp_path):
-    p = make_params(seed=9, dt=0.5, horizon=5.0)
-    tr = generate_trace(p)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(tr, path)
-    t, omega = read_trace_csv(path)
-    assert np.allclose(t, tr.grid_times)
-    assert np.array_equal(omega, tr.omega)  # 17 sig digits round-trip exactly
-    rebuilt = trace_from_samples(p, omega)
-    assert np.array_equal(rebuilt.cum_grid, tr.cum_grid)
-
-
-def test_trace_csv_bytes_match_csv_writer(tmp_path):
-    tr = generate_trace(make_params(seed=4, mu=3.0, dt=0.3, horizon=7.0))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(tr, path)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "omega"])
-        for t, w in zip(tr.grid_times, tr.omega):
-            writer.writerow([f"{t:.12g}", f"{w:.17g}"])
-    assert path.read_bytes() == ref.read_bytes()
 
 
 # -- bit identity with the straightforward formulas ----------------------------
