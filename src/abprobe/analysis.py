@@ -110,7 +110,6 @@ class AnalyticParams:
 @dataclass(frozen=True)
 class AnalyticXiResult:
     xi: float  # normalized by C^2 (the form reported in sweeps)
-    xi_raw: float  # multiplied back by C^2
     converged: bool
     n_iter: int
     psi_final: float
@@ -148,7 +147,6 @@ def analytic_xi(params: AnalyticParams) -> AnalyticXiResult:
     xi_norm = psi if converged else total / n_done
     return AnalyticXiResult(
         xi=xi_norm,
-        xi_raw=xi_norm * params.capacity**2,
         converged=converged,
         n_iter=n_done,
         psi_final=psi,

@@ -9,7 +9,10 @@ flags (comma lists; integer ones also take ranges a:b and a:b:step) are
   compare-bart  --portions --initial-ab
   model-eval    --packets --portions
   run           none
-and --seeds / --workers belong to sweep and compare-bart.
+and --seeds / --workers belong to sweep and compare-bart.  A sweep or
+model-eval axis not given on the command line takes the scenario's value;
+model-eval --xi-target computes M, so it takes no --packets.  Config keys
+name the flags' fields plus psi0; every other model value is a constant.
 Every subcommand is a pure function of (config, seed) to bytes on disk; exit
 code 0 on success, 2 on configuration errors.
 """
@@ -199,8 +202,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_model_eval(args) -> int:
     base = _scenario(args)
+    packets = getattr(args, "packets", [base.packets])
+    portions = getattr(args, "portions", [base.portions])
     if args.xi_target is not None:
-        portions = getattr(args, "portions", [3])
+        if hasattr(args, "packets"):
+            raise ValueError("--xi-target computes M; drop --packets")
         if len(portions) != 1:
             raise ValueError(f"--xi-target takes a single --portions value, got {portions}")
         p = portions[0]
@@ -221,8 +227,6 @@ def _cmd_model_eval(args) -> int:
             )
         return 0
 
-    packets = getattr(args, "packets", list(range(16, 101, 6)))
-    portions = getattr(args, "portions", [1, 2, 3, 4, 5])
     rows = model_grid_rows(base, packets=packets, portions=portions)
     _write_rows(args.out, MODEL_HEADER, rows)
     return 0

@@ -27,7 +27,6 @@ from .fbm import FbmParams, FbmTrace, _next_fast_len, generate_trace
 from .kalman import GATE_THRESHOLD_DEFAULT, FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
 from .probing import (
-    R_FLOOR_DEFAULT,
     ProbeSchedule,
     SequenceConfig,
     StrainMeasurement,
@@ -62,6 +61,8 @@ COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 # embedding length on the 3.3 M- and 10 M-sample runs: 37.0 and 36.3 B)
 PEAK_BYTES_PER_POINT = 37
 
+SEQUENCE_GAP = 1.0  # seconds between sequence starts
+
 # what a value of each RunConfig annotation must be; float fields take any real
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "bool": (bool, "true or false")}
 
@@ -76,15 +77,16 @@ def _fmt(x) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full scenario for one simulated estimation run.
-
-    Fields left at None are derived from the bottleneck capacity when the
-    config is finalized:
+    """Full scenario for one simulated estimation run; the one owner of
+    every scenario value.  Fields left at None are derived from the
+    bottleneck capacity when the config is finalized:
       sigma    = 0.025 * capacity      mu         = 0.4 * capacity
       rate_min = 0.7 * capacity        rate_max   = 3.2 * capacity
-      y_max    = 0.95 * capacity       initial_ab = 0.5 * capacity
-      dt       = packet_bits / (4 * capacity)
-      c_ref    = capacity
+      initial_ab = 0.5 * capacity      dt = packet_bits / (4 * capacity)
+    The filter normalizes rates by the capacity and caps its readout at
+    rate_max.  Model constants, not fields: PathModel's rate ceiling
+    0.95 * capacity, SEQUENCE_GAP, and probing's strain-variance floor
+    R_FLOOR_DEFAULT.
 
     The probing range deliberately brackets the nominal capacity from the
     congestion side: portions below the strain break measure nothing and
@@ -102,17 +104,13 @@ class RunConfig:
     sequences: int = 1000
     rate_min: float | None = None
     rate_max: float | None = None
-    inter_sequence_gap: float = 1.0
     lam: float = FilterConfig.lam
     psi0: float = 0.02
     initial_ab: float | None = None
     gate_threshold: float | None = GATE_THRESHOLD_DEFAULT
-    r_floor: float = R_FLOOR_DEFAULT
     seed: int = 0
     reset_queue: bool = False
     dt: float | None = None
-    y_max: float | None = None
-    c_ref: float | None = None
 
     def finalize(self) -> "RunConfig":
         """Fill derived defaults and cross-validate; raises ValueError with an
@@ -135,7 +133,6 @@ class RunConfig:
         mu = 0.4 * c if self.mu is None else self.mu
         rate_min = 0.7 * c if self.rate_min is None else self.rate_min
         rate_max = 3.2 * c if self.rate_max is None else self.rate_max
-        y_max = 0.95 * c if self.y_max is None else self.y_max
         packet_bits = 8.0 * self.packet_size
         dt = packet_bits / (4.0 * c) if self.dt is None else self.dt
         initial_ab = 0.5 * c if self.initial_ab is None else self.initial_ab
@@ -146,22 +143,18 @@ class RunConfig:
             mu=mu,
             rate_min=rate_min,
             rate_max=rate_max,
-            y_max=y_max,
             dt=dt,
             initial_ab=initial_ab,
         )
         cfg.sequence_config()  # validates M/P/rates/packet size
-        cfg.filter_config()  # validates lam/psi0/c_ref
-        if cfg.r_floor <= 0:
-            raise ValueError(f"r_floor must be > 0, got {cfg.r_floor}")
+        cfg.filter_config()  # validates lam/psi0
         worst_span = (cfg.packets - 1) * packet_bits / rate_min
-        if worst_span > cfg.inter_sequence_gap:
+        if worst_span > SEQUENCE_GAP:
             raise ValueError(
                 f"a worst-case sequence spans {worst_span:.4g}s but sequences start "
-                f"every {cfg.inter_sequence_gap}s; raise rate_min, shrink packets/"
-                "packet_size, or widen inter_sequence_gap"
+                f"every {SEQUENCE_GAP}s; raise rate_min or shrink packets/packet_size"
             )
-        if dt >= cfg.inter_sequence_gap:
+        if dt >= SEQUENCE_GAP:
             raise ValueError(
                 f"trace grid dt={dt} must be finer than the inter-sequence gap"
             )
@@ -180,7 +173,7 @@ class RunConfig:
 
     @property
     def horizon(self) -> float:
-        return (self.sequences + 1) * self.inter_sequence_gap
+        return (self.sequences + 1) * SEQUENCE_GAP
 
     def sequence_config(self) -> SequenceConfig:
         return SequenceConfig(
@@ -189,7 +182,6 @@ class RunConfig:
             packet_size=self.packet_size,
             rate_min=self.rate_min,
             rate_max=self.rate_max,
-            inter_sequence_gap=self.inter_sequence_gap,
         )
 
     def fbm_params(self) -> FbmParams:
@@ -205,9 +197,8 @@ class RunConfig:
     def filter_config(self) -> FilterConfig:
         # normalization reference: the nominal bottleneck capacity keeps both
         # state components O(1) and makes the initial-AB guess metric faithful
-        c_ref = self.capacity if self.c_ref is None else self.c_ref
         return FilterConfig(
-            c_ref=c_ref,
+            c_ref=self.capacity,
             lam=self.lam,
             psi0=self.psi0,
             initial_ab=self.initial_ab,
@@ -215,7 +206,7 @@ class RunConfig:
             gate_threshold=self.gate_threshold,
         )
 
-    def analytic_params(self, n_sequences: int | None = None) -> AnalyticParams:
+    def analytic_params(self) -> AnalyticParams:
         return AnalyticParams(
             capacity=self.capacity,
             sigma=self.sigma,
@@ -226,7 +217,7 @@ class RunConfig:
             p=self.portions,
             rates=0.5 * (self.rate_min + self.rate_max),
             packet_size=self.packet_size,
-            n_sequences=self.sequences if n_sequences is None else n_sequences,
+            n_sequences=self.sequences,
         )
 
 
@@ -293,21 +284,21 @@ def run(
         raise ValueError(
             f"supplied trace was generated from {trace.params}, config needs {params}"
         )
-    path = PathModel(cfg.capacity, trace, cfg.y_max)
+    path = PathModel(cfg.capacity, trace)
     seq_cfg = cfg.sequence_config()
     fcfg = cfg.filter_config()
 
     n = cfg.sequences
-    t_start = np.arange(n) * cfg.inter_sequence_gap
+    t_start = np.arange(n) * SEQUENCE_GAP
     rates = draw_portion_rates(seq_cfg, np.random.default_rng([cfg.seed, 1]), n)
     sched = build_schedule(seq_cfg, rates, t_start)
     result, _ = transit_sequence(path, sched, HopWorkload(), cfg.reset_queue)
-    meas = reduce_measurement(pair_strains(sched, result.departures), sched, cfg.r_floor)
+    meas = reduce_measurement(pair_strains(sched, result.departures), sched)
     if event_log is not None:
         _write_event_log(event_log, sched, result.departures)
 
     state = initial_state(fcfg)
-    last_ab = fcfg.initial_ab_value
+    last_ab = fcfg.initial_ab
     rows = []
     for k in range(n):
         meas_k = StrainMeasurement(z=meas.z[k], rates=meas.rates[k], r_diag=meas.r_diag[k])
@@ -457,15 +448,11 @@ def sweep(
     seeds=(0,),
     paired: bool = False,
     max_workers: int = 1,
-    out=None,
 ) -> list[dict]:
     """Run the grid x seeds cross product; one row per (point, seed) plus
     seed-aggregated rows, with analytic and fitted-model overlays per point."""
     points = _grid_points(base, packets, portions, packet_sizes, capacities, paired)
-    rows = _ensemble_rows(base, points, seeds, max_workers, _sweep_columns, "xi_sim")
-    if out is not None:
-        _write_rows(out, SWEEP_HEADER, rows)
-    return rows
+    return _ensemble_rows(base, points, seeds, max_workers, _sweep_columns, "xi_sim")
 
 
 # -- estimator comparisons -------------------------------------------------
@@ -486,7 +473,6 @@ def compare_bart(
     initial_abs=None,
     seeds=(0,),
     max_workers: int = 1,
-    out=None,
 ) -> list[dict]:
     """Single-rate (P=1) versus multi-rate estimation on identical traffic.
 
@@ -497,10 +483,7 @@ def compare_bart(
     p_values = [1] + [p for p in portions if p != 1]
     ab_values = list(initial_abs) if initial_abs is not None else [base.initial_ab]
     variants = [{"portions": p, "initial_ab": ab} for ab in ab_values for p in p_values]
-    rows = _ensemble_rows(base, variants, seeds, max_workers, _compare_columns, "xi")
-    if out is not None:
-        _write_rows(out, COMPARE_HEADER, rows)
-    return rows
+    return _ensemble_rows(base, variants, seeds, max_workers, _compare_columns, "xi")
 
 
 def model_grid_rows(base: RunConfig, packets, portions) -> list[dict]:

@@ -42,25 +42,24 @@ ALPHA_MIN = 1e-3
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Estimator knobs.
+    """Estimator knobs; RunConfig.filter_config fills them from the scenario.
 
-    c_ref       rate normalization (bits/s); RunConfig.filter_config uses the
-                bottleneck capacity unless the scenario sets c_ref
-    lam         process-noise level, per-step variance added to each
-                normalized state component
+    c_ref       rate normalization (bits/s): the bottleneck capacity
     psi0        initial error covariance scale (Psi_0 = psi0 * I, normalized)
     initial_ab  initial AB guess (bits/s) mapped to the state via
                 alpha0 = 1/c_ref, beta0 = -initial_ab/c_ref
     ab_cap      clamp for the AB readout (bits/s)
+    lam         process-noise level, per-step variance added to each
+                normalized state component
     gate_threshold  |z| below this drops the portion from the update
                     (None disables gating)
     """
 
     c_ref: float
+    psi0: float
+    initial_ab: float
+    ab_cap: float
     lam: float = 1e-4
-    psi0: float = 1.0
-    initial_ab: float | None = None
-    ab_cap: float | None = None
     gate_threshold: float | None = GATE_THRESHOLD_DEFAULT
 
     def __post_init__(self) -> None:
@@ -70,14 +69,6 @@ class FilterConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.psi0 < 0:
             raise ValueError(f"psi0 must be >= 0, got {self.psi0}")
-
-    @property
-    def initial_ab_value(self) -> float:
-        return 0.5 * self.c_ref if self.initial_ab is None else self.initial_ab
-
-    @property
-    def ab_cap_value(self) -> float:
-        return self.c_ref if self.ab_cap is None else self.ab_cap
 
 
 @dataclass(frozen=True)
@@ -110,7 +101,7 @@ class EstimateRecord:
 
 
 def initial_state(config: FilterConfig) -> FilterState:
-    x = np.array([1.0, -config.initial_ab_value / config.c_ref])
+    x = np.array([1.0, -config.initial_ab / config.c_ref])
     psi = config.psi0 * np.eye(2)
     return FilterState(x=x, psi=psi, lam=config.lam, c_ref=config.c_ref)
 
@@ -215,11 +206,11 @@ def ab_estimate(
     else:
         raw = math.nan
     if last_ab is None:
-        last_ab = config.initial_ab_value
+        last_ab = config.initial_ab
     if alpha <= ALPHA_MIN / config.c_ref:
-        ab = min(max(last_ab, 0.0), config.ab_cap_value)
+        ab = min(max(last_ab, 0.0), config.ab_cap)
         return EstimateRecord(ab_hat=ab, raw_ab=raw, portions_used=portions_used, degenerate=True)
-    ab = min(max(raw, 0.0), config.ab_cap_value)
+    ab = min(max(raw, 0.0), config.ab_cap)
     return EstimateRecord(ab_hat=ab, raw_ab=raw, portions_used=portions_used)
 
 

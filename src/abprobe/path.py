@@ -70,7 +70,6 @@ class TransitResult:
 
     departures: np.ndarray
     true_ab: float
-    window: tuple[float, float]  # (first bottleneck arrival, observation span)
 
 
 class PathModel:
@@ -230,9 +229,8 @@ def transit_sequence(
         idle_accum=state.idle_accum + float(idle.sum()),
         served_bits=state.served_bits + c * float((span - idle).sum()),
     )
-    # [()] turns the one-sequence case's 0-d arrays into scalars
-    window = (a[:, 0].reshape(lead)[()], delta_t.reshape(lead)[()])
-    result = TransitResult(departures=dep, true_ab=true_ab.reshape(lead)[()], window=window)
+    # [()] turns the one-sequence case's 0-d array into a scalar
+    result = TransitResult(departures=dep, true_ab=true_ab.reshape(lead)[()])
     return result, new_state
 
 

@@ -47,7 +47,6 @@ class SequenceConfig:
     packet_size  probe packet size S in bytes
     rate_min     lower edge of the per-portion rate draw (bits/s)
     rate_max     upper edge of the per-portion rate draw (bits/s)
-    inter_sequence_gap  time between sequence starts (s)
     """
 
     m: int
@@ -55,7 +54,6 @@ class SequenceConfig:
     packet_size: float
     rate_min: float
     rate_max: float
-    inter_sequence_gap: float = 1.0
 
     def __post_init__(self) -> None:
         if self.p < 1:
@@ -70,18 +68,10 @@ class SequenceConfig:
             raise ValueError(
                 f"need 0 < rate_min <= rate_max, got [{self.rate_min}, {self.rate_max}]"
             )
-        if self.inter_sequence_gap <= 0:
-            raise ValueError(
-                f"inter_sequence_gap must be > 0, got {self.inter_sequence_gap}"
-            )
 
     @property
     def packet_bits(self) -> float:
         return 8.0 * self.packet_size
-
-    @property
-    def pairs(self) -> int:
-        return self.m - 1
 
     @property
     def portion_sizes(self) -> tuple[int, ...]:

@@ -99,7 +99,6 @@ def test_analytic_p1_matches_riccati_fixed_point():
     res = analytic_xi(params)
     assert res.converged
     assert res.xi == pytest.approx(expected, rel=1e-9)
-    assert res.xi_raw == pytest.approx(res.xi * params.capacity**2, rel=1e-12)
 
 
 def test_analytic_monotone_in_p_and_m():

@@ -1,14 +1,15 @@
 import copy
 import json
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import abprobe.experiment
-from abprobe.cli import _scenario, build_parser, main
-from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER
+from abprobe.cli import SCENARIO_FLAGS, _scenario, build_parser, main
+from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER, RunConfig
 
 FAST = ["--sequences", "20", "--seed", "3"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -120,11 +121,23 @@ def test_compare_bart_validates_every_variant_before_synthesis(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_removed_access_capacity_key_exits_2(tmp_path, capsys):
+# config keys of removed RunConfig fields, each with a value the field took
+REMOVED_KEYS = {"access_capacity": 1e8, "c_ref": 1e7, "y_max": 9e6, "inter_sequence_gap": 2.0,
+                "r_floor": 1e-6}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_access_capacity_key_exits_2(tmp_path, capsys, monkeypatch, key):
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"access_capacity": 1e8}))
+    cfg.write_text(json.dumps({key: REMOVED_KEYS[key]}))
     assert main(["run", "--config", str(cfg), "--sequences", "5"]) == 2
-    assert "unknown config key 'access_capacity'" in capsys.readouterr().err
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_every_scenario_field_has_a_flag_but_psi0():
+    dests = {dest for dest, _, _ in SCENARIO_FLAGS.values()}
+    assert {f.name for f in fields(RunConfig)} == dests | {"psi0"}
 
 
 def test_run_options_in_config_file_exit_2(tmp_path, capsys, monkeypatch):
@@ -155,7 +168,7 @@ def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
 
 @pytest.mark.parametrize(
     "flags, file_cfg, message",
-    [(["--lambda", "-1"], {}, "lam must be >= 0"), ([], {"r_floor": 0.0}, "r_floor must be > 0")],
+    [(["--lambda", "-1"], {}, "lam must be >= 0"), ([], {"psi0": -1}, "psi0 must be >= 0")],
 )
 def test_bad_filter_values_exit_2_before_synthesis(
     tmp_path, capsys, monkeypatch, flags, file_cfg, message
@@ -332,6 +345,27 @@ def test_model_eval_grid(tmp_path):
     for p in ("1", "2", "3"):
         xs = [float(r[3]) for r in rows if r[1] == p]
         assert all(a > b for a, b in zip(xs, xs[1:]))
+
+
+def test_model_eval_axes_default_to_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"portions": 2, "packets": 22}))
+    assert main(["model-eval", "--config", str(cfg), "--xi-target", "0.00705"]) == 0
+    assert capsys.readouterr().out.startswith("P=2 ")
+    out = tmp_path / "grid.csv"
+    assert main(["model-eval", "--config", str(cfg), "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row[:2] for row in rows] == [["22", "2"]]
+
+
+def test_model_eval_packets_with_xi_target_exits_2(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["model-eval", "--xi-target", "0.00705", "--packets", "20", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--packets" in captured.err
+    assert not out.exists()
 
 
 def test_model_eval_rejects_p_outside_table():

@@ -7,6 +7,7 @@ import pytest
 from abprobe import experiment
 from abprobe.experiment import (
     EVENT_HEADER,
+    SEQUENCE_GAP,
     RunConfig,
     _fmt,
     compare_bart,
@@ -33,6 +34,10 @@ def test_finalize_fills_capacity_scaled_defaults():
     assert cfg.rate_max == pytest.approx(3.2 * 2e7)
     assert cfg.initial_ab == pytest.approx(1e7)
     assert cfg.dt == pytest.approx(12000.0 / (4 * 2e7))
+    fcfg = cfg.filter_config()
+    assert fcfg.c_ref == cfg.capacity
+    assert fcfg.ab_cap == cfg.rate_max
+    assert fcfg.psi0 == 0.02
 
 
 def test_finalize_rejects_overflowing_sequences():
@@ -88,9 +93,9 @@ def test_event_log_bytes(tmp_path):
 
     # the same values written row by row through csv.writer and _fmt
     seq = cfg.sequence_config()
-    path = PathModel(cfg.capacity, generate_trace(cfg.fbm_params()), cfg.y_max)
+    path = PathModel(cfg.capacity, generate_trace(cfg.fbm_params()))
     rates = draw_portion_rates(seq, np.random.default_rng([cfg.seed, 1]), 12)
-    sched = build_schedule(seq, rates, np.arange(12) * cfg.inter_sequence_gap)
+    sched = build_schedule(seq, rates, np.arange(12) * SEQUENCE_GAP)
     send = sched.send_times
     dep = transit_sequence(path, sched, HopWorkload())[0].departures
     portion = np.concatenate([[0], np.repeat(np.arange(3), seq.portion_sizes)])

@@ -177,7 +177,7 @@ def test_all_gated_is_noop():
 # -- AB readout ---------------------------------------------------------------
 
 def cfg(**kw):
-    base = dict(c_ref=C_REF)
+    base = dict(c_ref=C_REF, psi0=1.0, initial_ab=0.5 * C_REF, ab_cap=C_REF)
     base.update(kw)
     return FilterConfig(**base)
 
@@ -223,9 +223,9 @@ def test_process_sequence_converges_on_noiseless_line():
     # exact strains from the fluid law with all rates above the break:
     # estimate within 0.1% of C - y inside 20 sequences
     c, y = 1e7, 4e6
-    config = FilterConfig(c_ref=C_REF, lam=1e-4, initial_ab=3e6)
+    config = cfg(lam=1e-4, initial_ab=3e6)
     state = initial_state(config)
-    last = config.initial_ab_value
+    last = config.initial_ab
     rng = np.random.default_rng(17)
     for k in range(20):
         rates = rng.uniform(7e6, 1.2e7, 3)
@@ -237,7 +237,7 @@ def test_process_sequence_converges_on_noiseless_line():
 
 
 def test_process_sequence_all_gated_carries_over():
-    config = FilterConfig(c_ref=C_REF, lam=1e-4, initial_ab=5e6)
+    config = cfg(lam=1e-4, initial_ab=5e6)
     state = initial_state(config)
     meas = make_meas([0.0, 0.0], [2e6, 3e6], [1e-6, 1e-6])
     new_state, rec = process_sequence(state, meas, config, last_ab=5e6)
@@ -249,7 +249,7 @@ def test_process_sequence_all_gated_carries_over():
 
 def test_p1_step_matches_bart_configuration():
     # a P=1 measurement is one scalar update: identical through either path
-    config = FilterConfig(c_ref=C_REF, lam=1e-3)
+    config = cfg(lam=1e-3)
     state = initial_state(config)
     meas = make_meas([0.3], [9e6], [0.02])
     via_seq, _ = process_sequence(state, meas, config, 5e6)
