@@ -182,6 +182,8 @@ def lookup_coeffs(capacity: float, p: int) -> EmpiricalCoeffs:
     lower capacity)."""
     if p not in (1, 2, 3, 4, 5):
         raise ValueError(f"tabulated coefficients cover P in 1..5, got {p}")
+    if not (math.isfinite(capacity) and capacity > 0):
+        raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
     rows = sorted(EMPIRICAL_COEFF_TABLE)
     nearest = min(rows, key=lambda c: (abs(c - capacity), c))
     a, b = EMPIRICAL_COEFF_TABLE[nearest][p]
@@ -209,8 +211,8 @@ def required_m(coeffs: EmpiricalCoeffs, p: int, xi_target: float) -> int:
     nearest packet (the surface has sub-packet precision at best), then
     raised to the next M with M-1 divisible by P.
     """
-    if xi_target <= 0:
-        raise ValueError(f"xi_target must be > 0, got {xi_target}")
+    if not (math.isfinite(xi_target) and xi_target > 0):
+        raise ValueError(f"xi_target must be a finite number > 0, got {xi_target}")
     raw = (coeffs.a * math.exp(1.1 * p) / (xi_target * (p**2 + p))) ** (1.0 / coeffs.b)
     m = max(2 * p + 1, math.ceil(raw - 0.5))
     while (m - 1) % p != 0:

@@ -9,10 +9,10 @@ flags (comma lists; integer ones also take ranges a:b and a:b:step) are
   compare-bart  --portions --initial-ab
   model-eval    --packets --portions
   run           none
-and --seeds / --workers belong to sweep and compare-bart.  A sweep or
-model-eval axis not given on the command line takes the scenario's value;
-model-eval --xi-target computes M, so it takes no --packets.  Config keys
-name the flags' fields plus psi0; every other model value is a constant.
+and --seeds / --workers belong to sweep and compare-bart.  An axis not given
+on the command line takes the scenario's value; model-eval --xi-target
+computes M from C and P alone, so it takes no other scenario flag.  Config
+keys name the flags' fields plus psi0; every other model value is a constant.
 Every subcommand is a pure function of (config, seed) to bytes on disk; exit
 code 0 on success, 2 on configuration errors.
 """
@@ -191,7 +191,7 @@ def _cmd_compare(args) -> int:
     base = _scenario(args)
     rows = compare_bart(
         base,
-        portions=getattr(args, "portions", [2]),
+        portions=getattr(args, "portions", None),
         initial_abs=getattr(args, "initial_ab", None),
         seeds=args.seeds or [base.seed],
         max_workers=args.workers,
@@ -205,8 +205,10 @@ def _cmd_model_eval(args) -> int:
     packets = getattr(args, "packets", [base.packets])
     portions = getattr(args, "portions", [base.portions])
     if args.xi_target is not None:
-        if hasattr(args, "packets"):
-            raise ValueError("--xi-target computes M; drop --packets")
+        extra = [f for f, (dest, _, _) in SCENARIO_FLAGS.items()
+                 if hasattr(args, dest) and dest not in ("capacity", "portions")]
+        if extra:
+            raise ValueError(f"--xi-target reads only C and P; drop {', '.join(extra)}")
         if len(portions) != 1:
             raise ValueError(f"--xi-target takes a single --portions value, got {portions}")
         p = portions[0]

@@ -84,9 +84,9 @@ class RunConfig:
       rate_min = 0.7 * capacity        rate_max   = 3.2 * capacity
       initial_ab = 0.5 * capacity      dt = packet_bits / (4 * capacity)
     The filter normalizes rates by the capacity and caps its readout at
-    rate_max.  Model constants, not fields: PathModel's rate ceiling
-    0.95 * capacity, SEQUENCE_GAP, and probing's strain-variance floor
-    R_FLOOR_DEFAULT.
+    rate_max.  Model constants, not fields: path's rate ceiling
+    RATE_CEILING * capacity, SEQUENCE_GAP, and probing's strain-variance
+    floor R_FLOOR_DEFAULT.
 
     The probing range deliberately brackets the nominal capacity from the
     congestion side: portions below the strain break measure nothing and
@@ -371,7 +371,7 @@ def _map_seeds(task, base, payload, seeds, max_workers) -> dict:
 
 def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[dict]:
     """One row per (variant, seed) with that run's error under xi_key, then
-    the seed mean and median; columns(overrides, cfg) gives a variant's other
+    the seed mean and median; columns(cfg) gives a finalized variant's other
     columns.  Every variant is validated before any trace is synthesized."""
     seeds = list(seeds)
     if not seeds:
@@ -379,8 +379,8 @@ def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[
     cfgs = [replace(base, **v).finalize() for v in variants]
     by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
     rows = []
-    for idx, (overrides, cfg) in enumerate(zip(variants, cfgs)):
-        common = columns(overrides, cfg)
+    for idx, cfg in enumerate(cfgs):
+        common = columns(cfg)
         sims = [by_seed[seed][idx] for seed in seeds]
         rows += [{**common, "seed": seed, xi_key: xi} for seed, xi in zip(seeds, sims)]
         rows.append({**common, "seed": "mean", xi_key: float(np.mean(sims))})
@@ -432,7 +432,7 @@ def _grid_points(base: RunConfig, packets, portions, packet_sizes, capacities, p
     return [dict(zip(axes, point)) for point in zip(*expanded)]
 
 
-def _sweep_columns(overrides, cfg: RunConfig) -> dict:
+def _sweep_columns(cfg: RunConfig) -> dict:
     return {
         "M": cfg.packets, "P": cfg.portions, "C": cfg.capacity, "S": cfg.packet_size,
         "H": cfg.hurst, "lambda": cfg.lam, **_model_xi(cfg),
@@ -458,18 +458,17 @@ def sweep(
 # -- estimator comparisons -------------------------------------------------
 
 
-def _compare_columns(overrides, cfg: RunConfig) -> dict:
-    ab = overrides["initial_ab"]
+def _compare_columns(cfg: RunConfig) -> dict:
     return {
         "method": "bart" if cfg.portions == 1 else "mrbart",
         "p": cfg.portions, "m": cfg.packets, "s": cfg.packet_size,
-        "initial_ab": float("nan") if ab is None else ab,
+        "initial_ab": cfg.initial_ab,
     }
 
 
 def compare_bart(
     base: RunConfig,
-    portions=(2,),
+    portions=None,
     initial_abs=None,
     seeds=(0,),
     max_workers: int = 1,
@@ -477,10 +476,10 @@ def compare_bart(
     """Single-rate (P=1) versus multi-rate estimation on identical traffic.
 
     Every (method, initial_ab) variant replays the same trace per seed, so
-    differences are purely estimator-side.  initial_abs sweeps the filter's
-    initial AB guess; None keeps the config's default.
+    differences are purely estimator-side.  The multi-rate portions and the
+    filter's initial_abs guesses default to the base scenario's values.
     """
-    p_values = [1] + [p for p in portions if p != 1]
+    p_values = [1] + [p for p in (portions or [base.portions]) if p != 1]
     ab_values = list(initial_abs) if initial_abs is not None else [base.initial_ab]
     variants = [{"portions": p, "initial_ab": ab} for ab in ab_values for p in p_values]
     return _ensemble_rows(base, variants, seeds, max_workers, _compare_columns, "xi")

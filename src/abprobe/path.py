@@ -5,7 +5,8 @@ The bottleneck queue is tracked as a workload process w(t): seconds of
 unfinished service.  Between probe arrivals the fluid adds d(arrivals)/C of
 work while the server drains at unit rate, floored at zero with idle time
 accrued; each probe adds S_bits/C of work and departs FIFO after the workload
-it found on arrival.
+it found on arrival.  The fluid's rate is capped at RATE_CEILING * C, so it
+never outruns the server.
 
 Propagation delays are zero, so a probe reaches the bottleneck at its send
 time and the receiver at its bottleneck departure.
@@ -29,6 +30,10 @@ __all__ = [
     "transit_sequence",
     "strain_bounds_check",
 ]
+
+# cap on the effective cross-traffic rate, as a fraction of capacity; the
+# closed-form transit relies on it staying below 1
+RATE_CEILING = 0.95
 
 
 def fluid_strain_oracle(u: float, capacity: float, y: float) -> float:
@@ -55,13 +60,11 @@ class HopWorkload:
     t            simulation clock (s); no event before t remains unprocessed
     w            remaining workload (s of service), >= 0
     idle_accum   total idle time accumulated since the state was created (s)
-    served_bits  cumulative bits served
     """
 
     t: float = 0.0
     w: float = 0.0
     idle_accum: float = 0.0
-    served_bits: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -76,34 +79,27 @@ class PathModel:
     """Bottleneck capacity plus the effective fluid arrival process.
 
     The trace's clamped cumulative volume is additionally rate-capped at
-    y_max (default 0.95*capacity) so the bottleneck keeps positive residual
-    bandwidth; cap_fraction reports how often the cap bit.  This effective
-    volume answers every cross-traffic volume and rate query
-    (cumulative_cross_bits, cross_rate).
+    RATE_CEILING * capacity so the bottleneck keeps positive residual
+    bandwidth; cap_fraction reports how often the cap bit and max_fluid_rate
+    the highest capped rate on the grid.  This effective volume answers
+    every cross-traffic volume and rate query (cumulative_cross_bits,
+    cross_rate).
     """
 
-    def __init__(
-        self,
-        capacity: float,
-        traffic: FbmTrace,
-        y_max: float | None = None,
-    ):
+    def __init__(self, capacity: float, traffic: FbmTrace):
         if capacity <= 0:
             raise ValueError(f"capacity must be > 0, got {capacity}")
         self.capacity = float(capacity)
         self.traffic = traffic
-        self.y_max = 0.95 * capacity if y_max is None else float(y_max)
-        if self.y_max <= 0:
-            raise ValueError(f"y_max must be > 0, got {self.y_max}")
 
-        # one buffer: grid increments, capped at y_max*dt, summed back up
+        # one buffer: grid increments, capped at the ceiling, summed back up
         dt = traffic.params.dt
         cum = traffic.cum_grid
         eff = np.empty(traffic.n)
         eff[0] = 0.0
         inc = eff[1:]
         np.subtract(cum[1:], cum[:-1], out=inc)
-        cap = self.y_max * dt
+        cap = RATE_CEILING * self.capacity * dt
         self.cap_fraction = float(np.mean(inc > cap)) if len(inc) else 0.0
         np.minimum(inc, cap, out=inc)
         self.max_fluid_rate = float(inc.max() / dt) if len(inc) else 0.0
@@ -137,20 +133,6 @@ class PathModel:
             self.cumulative_cross_bits(t + delta) - self.cumulative_cross_bits(t)
         ) / delta
 
-    def _knot_min(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-        """Min of eff(t)/C - t over the grid knots in each interval (t0, t1].
-
-        +inf where an interval holds no knot.  Between knots the fluid rate is
-        constant, so with the interval's endpoints these knots carry the
-        interval's minimum.  Builds one array as long as the trace.
-        """
-        g = np.append(self._eff / self.capacity - self._dt * np.arange(len(self._eff)), np.inf)
-        lo = np.clip(np.floor(t0 / self._dt).astype(np.int64) + 1, 0, len(g) - 1)
-        hi = np.clip(np.floor(t1 / self._dt).astype(np.int64) + 1, 0, len(g) - 1)
-        # reduceat over interleaved (lo, hi) pairs: even slots reduce g[lo:hi]
-        mins = np.minimum.reduceat(g, np.stack([lo, hi], axis=-1).ravel())[::2]
-        return np.where(lo < hi, mins.reshape(lo.shape), np.inf)
-
 
 def transit_sequence(
     path: PathModel,
@@ -165,8 +147,9 @@ def transit_sequence(
     w(b) = G(b) - min(G(a) - w(a), min of G over [a, b]),
     so each sequence is one running minimum, taken relative to G where its
     starting workload is known, to keep rounding at the scale of one
-    sequence.  Below capacity G falls and its minimum over a gap sits at the
-    gap's end; otherwise the grid knots inside the gap enter too.  The queue
+    sequence.  The rate ceiling keeps the fluid below capacity, so G falls
+    between probes and its minimum over a gap sits at the gap's end: the
+    running minimum needs G at the probe times alone.  The queue
     carries from row to row unless reset_queue empties it before every
     sequence.
 
@@ -198,15 +181,10 @@ def transit_sequence(
     bits = path.cumulative_cross_bits(a)
     bits_ref = path.cumulative_cross_bits(t_ref)
     g = (bits - bits_ref[:, None]) / c - (a - t_ref[:, None])
-    low = g
-    if path.max_fluid_rate >= c:
-        # G at a gap's start never binds: the probe arriving there added S/C
-        gap_start = np.concatenate([t_ref[:, None], a[:, :-1]], axis=1)
-        low = np.minimum(g, path._knot_min(gap_start, a) - (bits_ref / c - t_ref)[:, None])
 
-    # probe i of a row finds level = min(carry, min_{j<=i} low_j + j*s) - i*s
+    # probe i of a row finds level = min(carry, min_{j<=i} g_j + j*s) - i*s
     offset = s_serv * np.arange(m)
-    run_min = np.minimum.accumulate(low + offset, axis=1)
+    run_min = np.minimum.accumulate(g + offset, axis=1)
     carry = np.zeros(len(a))  # G(t_ref) - w(t_ref), relative to G(t_ref)
     if not reset_queue:
         c_k = -state.w
@@ -220,14 +198,12 @@ def transit_sequence(
     dep.flags.writeable = False
 
     idle = carry - level[:, -1]
-    span = a[:, -1] - t_ref
     delta_t = a[:, -1] - a[:, 0]
     true_ab = np.maximum(0.0, c - (bits[:, -1] - bits[:, 0]) / delta_t)
     new_state = HopWorkload(
         t=float(flat[-1]),
         w=float(wait[-1, -1] + s_serv),
         idle_accum=state.idle_accum + float(idle.sum()),
-        served_bits=state.served_bits + c * float((span - idle).sum()),
     )
     # [()] turns the one-sequence case's 0-d array into a scalar
     result = TransitResult(departures=dep, true_ab=true_ab.reshape(lead)[()])

@@ -318,6 +318,17 @@ def test_compare_bart_self_comparison_identical(tmp_path):
     assert len(xi) == 1
 
 
+def test_compare_bart_defaults_to_the_scenario(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"portions": 3}))
+    out = tmp_path / "cmp.csv"
+    argv = ["compare-bart", "--config", str(cfg), "--sequences", "5", "--seeds", "0"]
+    assert main([*argv, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert sorted({r[1] for r in rows}) == ["1", "3"]  # the config file's P
+    assert {r[4] for r in rows} == {"5000000"}  # the initial guess used, 0.5 C
+
+
 def test_model_eval_target(tmp_path, capsys):
     out = tmp_path / "m.csv"
     rc = main([
@@ -365,6 +376,30 @@ def test_model_eval_packets_with_xi_target_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--packets" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--hurst", "0.9", "--seed", "4"], "drop --hurst, --seed"),
+        (["--reset-queue"], "drop --reset-queue"),
+        (["--capacity=-1"], "capacity must be a finite number > 0"),
+        (["--capacity", "0"], "capacity must be a finite number > 0"),
+        (["--capacity", "nan"], "capacity must be a finite number > 0"),
+        (["--xi-target", "nan"], "xi_target must be a finite number > 0"),
+        (["--xi-target", "inf"], "xi_target must be a finite number > 0"),
+    ],
+    ids=["hurst-seed", "reset-queue", "capacity-neg", "capacity-0", "capacity-nan",
+         "target-nan", "target-inf"],
+)
+def test_model_eval_target_bad_input_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "m.csv"
+    argv = ["model-eval", "--xi-target", "0.00705", *flags, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
     assert not out.exists()
 
 

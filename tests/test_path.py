@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from abprobe.fbm import FbmParams, generate_trace, trace_from_samples
 from abprobe.path import (
+    RATE_CEILING,
     HopWorkload,
     PathModel,
     fluid_strain_oracle,
@@ -28,8 +29,8 @@ def fbm_trace(seed=0, mu=4e6, sigma=2e5, horizon=20.0, dt=3e-4):
     )
 
 
-def make_path(trace, capacity=C, y_max=None):
-    return PathModel(capacity=capacity, traffic=trace, y_max=y_max)
+def make_path(trace, capacity=C):
+    return PathModel(capacity=capacity, traffic=trace)
 
 
 def schedule_at_rate(u, m=11, p=1, t_start=0.0, packet_size=1500.0):
@@ -137,10 +138,6 @@ def test_work_conservation_and_idle_bounds():
         t_end = sched.send_times[-1]
     elapsed = t_end - 0.0
     assert 0.0 <= state.idle_accum <= elapsed + 1e-9
-    # server busy whenever work is present: served = C*(elapsed - idle) exactly,
-    # modulo the work still queued at the end
-    served_expected = C * (elapsed - state.idle_accum)
-    assert state.served_bits == pytest.approx(served_expected, abs=S_BITS + 1e-6)
 
 
 def test_queue_persists_across_sequences():
@@ -173,25 +170,6 @@ def test_true_ab_constant_fluid():
     path = make_path(trace)
     result, _ = transit_sequence(path, schedule_at_rate(8e6), HopWorkload())
     assert result.true_ab == pytest.approx(6e6, rel=1e-9)
-
-
-def test_slow_path_matches_fast_path_when_fluid_below_capacity():
-    # y_max above C forces the general cell-stepping path; on a trace whose
-    # fluid never exceeds C both must agree exactly
-    trace = constant_trace(mu=4e6)
-    fast_path = make_path(trace)                    # y_max = 0.95 C
-    slow_path = make_path(trace, y_max=2.0 * C)     # general path engaged
-    assert slow_path.max_fluid_rate < C  # fluid itself is only 0.4 C
-    assert fast_path.max_fluid_rate < C
-    # force the slow branch by lying about the max rate via y_max on a bursty trace
-    bursty = fbm_trace(seed=11, sigma=4e6, mu=9e6)
-    p_fast = make_path(bursty)                      # capped at 0.95 C
-    p_slow = PathModel(C, bursty, y_max=3.0 * C)
-    assert p_slow.max_fluid_rate >= C
-    sched = schedule_at_rate(9e6, m=18, t_start=0.3)
-    r_slow, s_slow = transit_sequence(p_slow, sched, HopWorkload())
-    assert np.all(np.diff(r_slow.departures) >= S_BITS / C - 1e-12)
-    assert s_slow.w >= 0.0 and s_slow.idle_accum >= 0.0
 
 
 # -- strain bounds audit ---------------------------------------------------------
@@ -250,14 +228,14 @@ def test_departures_strictly_increasing_property(seed, m, u_frac):
 
 # -- array transit against the per-packet reference ------------------------------
 
-def reference_advance(path, w, t0, t1, cells):
-    """Workload from t0 to t1 in one step, or grid cell by grid cell (exact
-    even when the fluid can outrun C): (workload at t1, idle time)."""
+def reference_advance(path, w, t0, t1):
+    """Workload from t0 to t1, grid cell by grid cell, so it assumes nothing
+    about the fluid rate: (workload at t1, idle time)."""
     c, dt = path.capacity, path.traffic.params.dt
     idle = 0.0
     t = t0
     while t < t1 - 1e-15:
-        cell_end = min((math.floor(t / dt + 1e-9) + 1) * dt, t1) if cells else t1
+        cell_end = min((math.floor(t / dt + 1e-9) + 1) * dt, t1)
         w += (path.cumulative_cross_bits(cell_end) - path.cumulative_cross_bits(t)) / c
         w -= cell_end - t
         if w < 0.0:
@@ -269,11 +247,9 @@ def reference_advance(path, w, t0, t1, cells):
 
 def reference_transit(path, send, packet_bits, reset_queue=False):
     """The per-packet Lindley loop, sequence after sequence: departures, the
-    workload each row found at its start, total idle time and served bits."""
-    c = path.capacity
-    s_serv = packet_bits / c
-    cells = path.max_fluid_rate >= c
-    t = w = idle = served = 0.0
+    workload each row found at its start and total idle time."""
+    s_serv = packet_bits / path.capacity
+    t = w = idle = 0.0
     deps, carried = [], []
     for row in send.tolist():
         if reset_queue:
@@ -281,14 +257,12 @@ def reference_transit(path, send, packet_bits, reset_queue=False):
         carried.append(w)
         dep = []
         for a in row:
-            inflow = (path.cumulative_cross_bits(a) - path.cumulative_cross_bits(t)) / c
-            wn, idle_inc = reference_advance(path, w, t, a, cells)
+            wn, idle_inc = reference_advance(path, w, t, a)
             idle += idle_inc
-            served += (w + inflow - wn) * c
             dep.append(a + wn + s_serv)
             t, w = a, wn + s_serv
         deps.append(dep)
-    return np.array(deps), np.array(carried), idle, served
+    return np.array(deps), np.array(carried), idle
 
 
 def run_schedule(n, spacing, rate_min, rate_max, m=22, p=3, seed=5):
@@ -303,23 +277,21 @@ def run_schedule(n, spacing, rate_min, rate_max, m=22, p=3, seed=5):
 )
 def test_run_transit_matches_per_packet_reference(case, reset_queue):
     if case == "bursty":
-        # fluid up to 3C: the queue fills inside gaps, so knots matter
-        path = PathModel(C, fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=12.0), y_max=3.0 * C)
-        assert path.max_fluid_rate >= C
+        # fluid bursts far above C, so the rate ceiling binds often
+        path = make_path(fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=12.0))
+        assert path.cap_fraction > 0.1
         sched = run_schedule(50, 0.2, 6e6, 3e7)
     else:
         # heavy load and 0.1 s spacing, so some sequences start on a backlog
         path = make_path(fbm_trace(seed=4, mu=8.5e6, sigma=1e6, horizon=12.0))
-        assert path.max_fluid_rate < C
         sched = run_schedule(60, 0.1, 6e6, 3e7)
     send = sched.send_times
     result, state = transit_sequence(path, sched, HopWorkload(), reset_queue)
-    ref_dep, carried, ref_idle, ref_served = reference_transit(path, send, S_BITS, reset_queue)
+    ref_dep, carried, ref_idle = reference_transit(path, send, S_BITS, reset_queue)
     if not reset_queue:
         assert np.any(carried[1:] > S_BITS / C)
     assert np.abs(result.departures - ref_dep).max() <= 1e-12
     assert state.idle_accum == pytest.approx(ref_idle, rel=1e-9, abs=1e-12)
-    assert state.served_bits == pytest.approx(ref_served, rel=1e-9)
     assert state.w == pytest.approx(ref_dep[-1, -1] - send[-1, -1], abs=1e-12)
     for row, ab in zip(send, result.true_ab):
         y = path.cross_rate(row[0], row[-1] - row[0])
@@ -330,16 +302,19 @@ def test_run_transit_matches_per_packet_reference(case, reset_queue):
 
 # -- effective volume against the straightforward build --------------------------
 
-@pytest.mark.parametrize("y_max", [0.5 * C, 0.95 * C, 3.0 * C])
+@pytest.mark.parametrize("ceiling", [0.5 * C, 0.95 * C, 3.0 * C])
 @pytest.mark.parametrize("horizon", [3e-4, 0.75, 2.0])
-def test_effective_volume_bit_identical_to_reference(y_max, horizon):
+def test_effective_volume_bit_identical_to_reference(ceiling, horizon):
+    # the same trace against a rate ceiling below, near and far above its
+    # mean rate, each set by the capacity
     trace = fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
-    path = make_path(trace, y_max=y_max)
+    path = make_path(trace, capacity=ceiling / RATE_CEILING)
     dt = trace.params.dt
     inc = np.diff(trace.cum_grid)
-    capped = np.minimum(inc, y_max * dt)
+    capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
     assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
     assert path.cap_fraction == float(np.mean(capped < inc))
     assert path.max_fluid_rate == float(capped.max() / dt)
-    if y_max < C and trace.n > 2:
+    assert path.max_fluid_rate < path.capacity
+    if ceiling < C and trace.n > 2:
         assert 0.0 < path.cap_fraction < 1.0  # the cap bites
