@@ -13,6 +13,7 @@ plus curve fitting to recover the (a, b) coefficients from sweep results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,9 @@ def lookup_coeffs(capacity: float, p: int) -> EmpiricalCoeffs:
     """Coefficients at the nearest tabulated capacity row (ties toward the
     lower capacity)."""
     if p not in (1, 2, 3, 4, 5):
-        raise ValueError(f"tabulated coefficients cover P in 1..5, got {p}")
+        raise ValueError(f"tabulated coefficients cover P in 1..5, got {p!r}")
+    if not isinstance(capacity, numbers.Real):
+        raise ValueError(f"capacity must be a number, got {capacity!r}")
     if not (math.isfinite(capacity) and capacity > 0):
         raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
     rows = sorted(EMPIRICAL_COEFF_TABLE)

@@ -56,10 +56,10 @@ EVENT_HEADER = ["seq_id", "pkt_idx", "portion", "send_t", "arrive_t", "depart_t"
 SWEEP_HEADER = ["M", "P", "C", "S", "H", "lambda", "seed", "xi_sim", "xi_analytic", "xi_empirical"]
 COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 
-# peak bytes per circulant-embedding point of trace synthesis: spectrum, FFT
-# output, cached scale and numpy's FFT working memory (peak RSS over the
-# embedding length on the 3.3 M- and 10 M-sample runs: 37.0 and 36.3 B)
-PEAK_BYTES_PER_POINT = 37
+# peak bytes per circulant-embedding point of trace synthesis: the normals,
+# the half-length FFT buffer and the cached scale (peak RSS rise over the
+# embedding length on the 3.3 M- and 10 M-sample runs: 21.8 and 20.6 B)
+PEAK_BYTES_PER_POINT = 22
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts
 
@@ -112,9 +112,11 @@ class RunConfig:
     reset_queue: bool = False
     dt: float | None = None
 
-    def finalize(self) -> "RunConfig":
+    def finalize(self, *, trace: bool = True) -> "RunConfig":
         """Fill derived defaults and cross-validate; raises ValueError with an
-        actionable message on any inconsistency."""
+        actionable message on any inconsistency.  With trace=False (model
+        evaluation, which synthesizes no traffic) the trace's estimated peak
+        memory is not checked."""
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.type.endswith("| None"):
@@ -161,7 +163,7 @@ class RunConfig:
         n = cfg.fbm_params().n_samples  # validates hurst/sigma/mu/dt/horizon
         peak = PEAK_BYTES_PER_POINT * _next_fast_len(2 * (n - 1))
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if peak > physical:
+        if trace and peak > physical:
             raise ValueError(
                 f"the {n}-sample traffic trace needs about {peak / 2**30:.3g} GiB, more "
                 f"than the {physical / 2**30:.3g} GiB of physical memory; raise "
@@ -487,7 +489,7 @@ def compare_bart(
 
 def model_grid_rows(base: RunConfig, packets, portions) -> list[dict]:
     """Analytic and fitted-model error over an (M, P) grid at the base scenario."""
-    cfg_probe = replace(base, packets=max(packets), portions=min(portions)).finalize()
+    cfg_probe = replace(base, packets=max(packets), portions=min(portions)).finalize(trace=False)
     return [
         {"M": m, "P": p, "C": cfg_probe.capacity,
          **_model_xi(replace(cfg_probe, packets=m, portions=p))}

@@ -358,6 +358,27 @@ def test_model_eval_grid(tmp_path):
         assert all(a > b for a, b in zip(xs, xs[1:]))
 
 
+def test_model_eval_grid_needs_no_trace_memory(tmp_path, monkeypatch):
+    # a 1 Gb/s scenario whose trace would not fit in memory: model-eval
+    # synthesizes no trace, so its grid is still evaluated
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    out = tmp_path / "grid.csv"
+    assert main(["model-eval", "--capacity", "1e9", "--packets", "16:40:6", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [row[0] for row in rows] == ["16", "22", "28", "34"]
+
+
+def test_model_eval_target_config_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"capacity": "1e7"}))
+    argv = ["model-eval", "--config", str(cfg)]
+    for extra in (["--xi-target", "0.00705"], []):  # target mode, then grid mode
+        assert main([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capacity must be a number, got '1e7'" in captured.err
+
+
 def test_model_eval_axes_default_to_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"portions": 2, "packets": 22}))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,7 +218,15 @@ def test_fgn_rejects_bad_args():
         fgn_davies_harte(0, 0.7, rng)
 
 
-# -- bit identity with the straightforward formulas ----------------------------
+# -- agreement with the straightforward formulas ------------------------------
+# The synthesis and the eigenvalues run as half-length complex four-step FFTs;
+# these references use numpy's length-m rfft/irfft.  The rounding differs, so
+# they agree to stated tolerances: omega (and the clamped grid) within
+# 1e-12*max|omega|, eigenvalues within 1e-13*max(lam), and clamp_fraction
+# within two grid points.  Measured: ~1e-14 and ~2e-15 on these cases.
+
+OMEGA_RTOL = 1e-12
+LAM_RTOL = 1e-13
 
 
 def reference_eigenvalues(hurst, m):
@@ -225,6 +237,19 @@ def reference_eigenvalues(hurst, m):
     gamma = 0.5 * ((k + 1.0) ** two_h - 2.0 * k**two_h + np.abs(k - 1.0) ** two_h)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     return np.fft.rfft(row).real
+
+
+def reference_fgn(lam, n, rng):
+    """n increments by irfft of the sqrt-scaled spectrum of eigenvalues 0..m/2."""
+    lam = np.clip(lam, 0.0, None)
+    half = len(lam) - 1
+    m = 2 * half
+    z = rng.standard_normal(m)
+    spec = np.empty(half + 1, dtype=complex)
+    spec[0] = np.sqrt(m * lam[0]) * z[0]
+    spec[half] = np.sqrt(m * lam[half]) * z[half]
+    spec[1:half] = np.sqrt(m * lam[1:half] / 2.0) * (z[1:half] + 1j * z[half + 1 :])
+    return np.fft.irfft(spec, n=m)[:n]
 
 
 def reference_trace(params):
@@ -239,50 +264,92 @@ def reference_trace(params):
             lam = reference_eigenvalues(params.hurst, m)
             if lam.min() >= -1e-8 * lam.max():
                 break
-        lam = np.clip(lam, 0.0, None)
-        half = m // 2
-        z = rng.standard_normal(m)
-        spec = np.empty(half + 1, dtype=complex)
-        spec[0] = np.sqrt(m * lam[0]) * z[0]
-        spec[half] = np.sqrt(m * lam[half]) * z[half]
-        spec[1:half] = np.sqrt(m * lam[1:half] / 2.0) * (z[1:half] + 1j * z[half + 1 :])
-        incr = np.fft.irfft(spec, n=m)[:n]
+        incr = reference_fgn(lam, n, rng)
     incr = incr * params.dt**params.hurst
     omega = np.concatenate([[0.0], np.cumsum(incr)])
     raw = params.mu * (params.dt * np.arange(n + 1)) + params.sigma * omega
     return omega, raw, np.maximum.accumulate(np.maximum(raw, 0.0))
 
 
+def assert_trace_matches_reference(params):
+    tr = generate_trace(params)
+    omega, raw, cum = reference_trace(params)
+    tol = OMEGA_RTOL * np.abs(omega).max()
+    assert np.abs(tr.omega - omega).max() <= tol
+    assert np.abs(tr.cum_grid - cum).max() <= params.sigma * tol
+    assert abs(tr.clamp_fraction - float(np.mean(cum > raw))) * tr.n <= 2
+
+
 @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.7, 0.99])
 @pytest.mark.parametrize("n_samples", [2, 8, 1001])
 def test_trace_bit_identical_to_reference(hurst, n_samples):
+    # within the tolerances stated above
     fbm._SCALE_CACHE.clear()
     for seed in (3, 4):  # the second call reuses the cached spectral scale
-        p = make_params(hurst=hurst, mu=0.4, dt=0.5, horizon=0.5 * (n_samples - 1), seed=seed)
-        tr = generate_trace(p)
-        omega, raw, cum = reference_trace(p)
-        assert np.array_equal(tr.omega, omega)
-        assert np.array_equal(tr.cum_grid, cum)
-        assert tr.clamp_fraction == float(np.mean(cum > raw))
+        assert_trace_matches_reference(
+            make_params(hurst=hurst, mu=0.4, dt=0.5, horizon=0.5 * (n_samples - 1), seed=seed)
+        )
+
+
+@pytest.mark.parametrize("hurst", [0.3, 0.7])
+def test_trace_matches_reference_over_several_blocks(hurst):
+    # m = 144000: a 250 x 288 four-step grid, two pre-pass blocks, 16 twiddle
+    # blocks.  H = 0.05 is left out at this length: its eigenvalues near bin 0
+    # are ~1e-6 of the largest, so their ~1e-15 rounding moves omega's drift
+    # by ~4e-12 of max|omega| (the synthesis alone agrees to ~2e-14).
+    fbm._SCALE_CACHE.clear()
+    assert_trace_matches_reference(make_params(hurst=hurst, mu=0.4, horizon=70000.0, seed=7))
 
 
 @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.99])
 def test_embedding_eigenvalues_bit_identical(hurst):
-    for n in (2, 7, 1000):
-        m = _next_fast_len(2 * n)
-        lam = fbm._embedding_eigenvalues(n, hurst, m)
-        ref = reference_eigenvalues(hurst, m)
-        if ref.min() < -1e-8 * ref.max():
-            assert lam is None
-        else:
-            assert np.array_equal(lam, np.clip(ref, 0.0, None))
+    # within LAM_RTOL; m = 2n at n = 7 and 1009 makes the half length prime
+    for n in (2, 7, 1000, 1009):
+        for m in (_next_fast_len(2 * n), 2 * n):
+            lam = fbm._embedding_eigenvalues(n, hurst, m)
+            ref = reference_eigenvalues(hurst, m)
+            if ref.min() < -1e-8 * ref.max():
+                assert lam is None
+            else:
+                assert np.abs(lam - np.clip(ref, 0.0, None)).max() <= LAM_RTOL * ref.max()
+
+
+@pytest.mark.parametrize("n", [7, 1009])
+def test_prime_fallback_synthesis_matches_reference(monkeypatch, n):
+    # an embedding length of exactly 2n (the fallback) gives a prime half
+    # length, which the four-step FFT runs as a single lane
+    monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    assert fbm._grid_shape(n) == (1, n)
+    x = fgn_davies_harte(n, 0.7, np.random.default_rng(5))
+    want = reference_fgn(reference_eigenvalues(0.7, 2 * n), n, np.random.default_rng(5))
+    assert np.abs(x - want).max() <= OMEGA_RTOL * np.abs(want).max()
+
+
+@pytest.mark.parametrize("length", [1, 2, 97, 18000])
+def test_fft_inplace_matches_numpy(length):
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    shape = fbm._grid_shape(length)
+    # forward: natural order in, the spectrum in natural order along grid.T
+    grid = x.reshape(shape).copy()
+    fbm._fft_inplace(grid, inverse=False)
+    ref = np.fft.fft(x)
+    assert np.abs(grid.T.reshape(-1) - ref).max() <= 1e-13 * np.abs(ref).max()
+    # inverse: the exact reverse
+    grid = np.empty(shape, dtype=complex)
+    grid.T[...] = x.reshape(shape[::-1])
+    fbm._fft_inplace(grid, inverse=True)
+    ref = np.fft.ifft(x)
+    assert np.abs(grid.reshape(-1) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_trace_build_peak_memory_per_sample():
-    # The bound is the measured ~40.8 B per sample (spectrum, FFT output and
-    # cached scale, 20 B per embedding point at m = 2n) plus a 15% margin;
-    # the parent build peaked at ~73 B.  tracemalloc does not see numpy's
-    # FFT working memory, which adds ~16 B per embedding point to peak RSS.
+    # The bound is 40.8 B per sample plus a 15% margin.  Measured: ~45.1 B
+    # per sample, i.e. the cached scale (4 B), the normals (8 B) and the
+    # half-length FFT buffer (8 B) per embedding point at m = 2n, plus the
+    # pre-pass blocks.  The FFT works inside that buffer with one lane of
+    # scratch, so tracemalloc sees the whole peak.
     n = 2**20 + 1
     p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
     fbm._SCALE_CACHE.clear()
@@ -293,3 +360,26 @@ def test_trace_build_peak_memory_per_sample():
     finally:
         tracemalloc.stop()
     assert peak / n < 47.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_trace_build_peak_rss_per_embedding_point():
+    # Peak RSS rise of one cold trace build in a fresh process, over its
+    # embedding length: ~23 B per point measured.  A length-m numpy irfft
+    # needs ~24 B per point of output and working memory on its own (~37 B
+    # for the whole build), which tracemalloc does not see.
+    code = (
+        "import resource\n"
+        "from abprobe.fbm import FbmParams, _next_fast_len, generate_trace\n"
+        "n = 2**21 + 1\n"
+        "p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1))\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "generate_trace(p)\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
+        "print(rise * 1024 / _next_fast_len(2 * (n - 1)))\n"
+    )
+    src = str(Path(fbm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert float(out.stdout) < 24.0
