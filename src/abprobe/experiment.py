@@ -62,6 +62,18 @@ COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 PEAK_BYTES_PER_POINT = 22
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(peak: int, what: str) -> None:
+    """ValueError if the estimated peak bytes of `what` exceed physical memory."""
+    if peak > PHYSICAL_MEMORY:
+        raise ValueError(
+            f"{what} needs about {peak / 2**30:.3g} GiB, more than the "
+            f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory; raise "
+            "packet_size or dt, or lower sequences or capacity"
+        )
+
 
 # what a value of each RunConfig annotation must be; float fields take any real
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "bool": (bool, "true or false")}
@@ -161,14 +173,8 @@ class RunConfig:
                 f"trace grid dt={dt} must be finer than the inter-sequence gap"
             )
         n = cfg.fbm_params().n_samples  # validates hurst/sigma/mu/dt/horizon
-        peak = PEAK_BYTES_PER_POINT * _next_fast_len(2 * (n - 1))
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if trace and peak > physical:
-            raise ValueError(
-                f"the {n}-sample traffic trace needs about {peak / 2**30:.3g} GiB, more "
-                f"than the {physical / 2**30:.3g} GiB of physical memory; raise "
-                "packet_size or dt, or lower sequences or capacity"
-            )
+        if trace:
+            _check_memory(PEAK_BYTES_PER_POINT * cfg.embedding_len, f"the {n}-sample traffic trace")
         return cfg
 
     # -- derived views ----------------------------------------------------
@@ -176,6 +182,11 @@ class RunConfig:
     @property
     def horizon(self) -> float:
         return (self.sequences + 1) * SEQUENCE_GAP
+
+    @property
+    def embedding_len(self) -> int:
+        """The trace synthesis's padded circulant-embedding length."""
+        return _next_fast_len(2 * (self.fbm_params().n_samples - 1))
 
     def sequence_config(self) -> SequenceConfig:
         return SequenceConfig(
@@ -355,6 +366,7 @@ def _seed_task(args):
         cfg = replace(base, seed=seed, **overrides).finalize()
         if cfg.fbm_params() != params:
             params = cfg.fbm_params()
+            trace = None  # free the previous variant's trace first
             trace = generate_trace(params)
         xis.append(run(cfg, trace=trace).xi)
     return seed, xis
@@ -379,6 +391,11 @@ def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[
     if not seeds:
         raise ValueError("an ensemble needs at least one seed")
     cfgs = [replace(base, **v).finalize() for v in variants]
+    # a worker synthesizes one trace at a time, but fbm keeps the spectral
+    # scales (4 B per embedding point) of up to three other (n, H) pairs
+    lens = sorted({(c.fbm_params().n_samples, c.hurst): c.embedding_len for c in cfgs}.values())
+    peak = PEAK_BYTES_PER_POINT * lens[-1] + 4 * sum(lens[-4:-1])
+    _check_memory(peak, f"the ensemble of {len(lens)} traffic traces")
     by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
     rows = []
     for idx, cfg in enumerate(cfgs):

@@ -6,9 +6,9 @@ omega is standard fBm with Var(omega(t)) = |t|^(2H).  Raw b(t) can decrease
 clamp b~(t) = max_{s<=t} max(0, b(s)) on its sample grid.  Volume and rate
 queries between grid points belong to the path (abprobe.path.PathModel).
 
-omega comes from exact Davies-Harte synthesis.  Its two length-m real
-transforms (the embedding's eigenvalues and the synthesis) run as length-m/2
-complex ones plus an O(m) pre- or post-pass, in place by a four-step FFT
+omega comes from exact Davies-Harte synthesis.  One length-m real inverse
+transform serves both the embedding's eigenvalues and the synthesis: a
+length-m/2 complex one plus an O(m) pre-pass, in place by a four-step FFT
 (Bailey 1990) over numpy's batched transforms, whose only scratch is one
 lane of the transform grid.
 """
@@ -16,7 +16,6 @@ lane of the transform grid.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +53,14 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
 
     Returns n zero-mean unit-variance increments with autocovariance
     gamma(k) = 0.5*(|k+1|^2H - 2|k|^2H + |k-1|^2H).  The embedding is padded
-    to a 5-smooth length m for FFT speed; if the padded embedding has negative
-    eigenvalues it falls back to the minimal 2n one, which is nonnegative
-    definite for fGn at any H in (0, 1).  Tiny negative eigenvalues are
-    clipped, anything worse raises.
+    to a 5-smooth length m for FFT speed.  Every such embedding is
+    nonnegative definite for fGn (Dieker 2004), but the cancellation in
+    gamma can round one to indefinite near H = 0.9; then the minimal 2n
+    embedding is tried.  Tiny negative eigenvalues are clipped; if both
+    embeddings round to indefinite, ValueError (the CLI exits 2).
 
-    The length-m real inverse transform runs as a length-m/2 complex one
-    whose output y[j] = x[2j] + i*x[2j+1] is x in natural order.  It works in
-    place on one buffer of m/2 complex points, so the synthesis peaks at about
+    The eigenvalues and the synthesis share one transform, _irfft, in place
+    on one buffer of m/2 complex points, so the synthesis peaks at about
     20 B per embedding point: the m normals, that buffer and the cached scale.
     """
     if not 0.0 < hurst < 1.0:
@@ -74,12 +73,8 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
     key = (n, hurst)
     scale = _SCALE_CACHE.get(key)
     if scale is None:
-        for m in (_next_fast_len(2 * n), 2 * n):
-            lam = _embedding_eigenvalues(n, hurst, m)
-            if lam is not None:
-                break
-        else:
-            raise RuntimeError(f"circulant embedding failed for n={n}, H={hurst}")
+        lam = _embedding_eigenvalues(n, hurst)
+        m = 2 * (len(lam) - 1)
         # per-bin scale sqrt(m*lam/2); the real bins 0 and m/2 take sqrt(m*lam)
         lam *= m
         lam[1 : m // 2] /= 2.0
@@ -99,67 +94,69 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
     flat[half + 2 : m + 1] = flat[half + 1 : m]
     spec[1, 0] = spec[1, half] = 0.0
     spec *= scale
-    re, im = spec
-    # y = ifft of C[k] = W + g*(X[k] - W), W = conj X[half-k], built one block
-    # of C at a time in natural order and laid out for _fft_inplace
-    grid = np.empty(_grid_shape(half), dtype=complex)
-    l1 = grid.shape[0]
-    for a, b, g in _blocks(grid.shape):
-        s, e = a * l1, b * l1
-        c = np.empty(e - s, dtype=complex)
-        c.real, c.imag = re[s:e], im[s:e]
-        w = np.empty_like(c)
-        w.real = re[half - s : half - e : -1]
-        np.negative(im[half - s : half - e : -1], out=w.imag)
-        c -= w
-        c *= g
-        c += w
-        grid[:, a:b] = c.reshape(b - a, l1).T
-    _fft_inplace(grid, inverse=True)
-    return grid.reshape(-1).view(float)[:n]
+    return _irfft(*spec)[:n]
 
 
 # spectral scales are a pure function of (n, hurst); reuse across seeds
 _SCALE_CACHE: dict[tuple[int, float], np.ndarray] = {}
 
 
-def _embedding_eigenvalues(n: int, hurst: float, m: int) -> np.ndarray | None:
-    """Eigenvalues of the size-m circulant embedding, or None if indefinite."""
-    if m % 2:
-        raise ValueError(f"embedding size must be even, got {m}")
-    half = m // 2
-    # q[k] = k^2H once; gamma(k) = 0.5*((q[k+1] - 2q[k]) + q[|k-1|]) is
-    # written with its mirror straight into the circulant's first row
-    q = np.arange(half + 2, dtype=float) ** (2.0 * hurst)
-    row = np.empty(m)
-    gamma = row[: half + 1]
-    np.multiply(q[: half + 1], 2.0, out=gamma)
-    np.subtract(q[1:], gamma, out=gamma)
-    gamma[0] += q[1]
-    gamma[1:] += q[:half]
-    gamma *= 0.5
-    row[half + 1 :] = gamma[half - 1 : 0 : -1]
-    del q, gamma
-    # Y = fft of y[j] = row[2j] + i*row[2j+1]; the real eigenvalues 0..half are
-    # lam[k] = Re(W + g*(conj Y[k] - W)), W = Y[half-k]
-    grid = row.view(complex).reshape(_grid_shape(half))
-    _fft_inplace(grid, inverse=False)
+def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
+    """Eigenvalues 0..m/2, clipped at 0, of the circulant embedding of n fGn
+    increments: the padded m = _next_fast_len(2n) or, where that one rounds
+    to indefinite, the minimal m = 2n (tried only if it is shorter)."""
+    for m in dict.fromkeys((_next_fast_len(2 * n), 2 * n)):
+        half = m // 2
+        # q[k] = k^2H once; gamma(k) = 0.5*((q[k+1] - 2q[k]) + q[|k-1|])
+        q = np.arange(half + 2, dtype=float) ** (2.0 * hurst)
+        gamma = np.empty(half + 1)
+        np.multiply(q[: half + 1], 2.0, out=gamma)
+        np.subtract(q[1:], gamma, out=gamma)
+        gamma[0] += q[1]
+        gamma[1:] += q[:half]
+        gamma *= 0.5
+        del q
+        # the circulant's first row gamma(0..half), gamma(half-1..1) is real and
+        # symmetric, so its eigenvalues are m * irfft(gamma), written over gamma
+        lam = _irfft(gamma, np.broadcast_to(0.0, half + 1))[: half + 1]
+        lam = np.multiply(lam, m, out=gamma)
+        if lam.min() >= -1e-8 * lam.max():
+            return np.clip(lam, 0.0, None, out=lam)
+    raise ValueError(
+        f"the circulant embedding of the n={n}-increment traffic trace at "
+        f"hurst={hurst} rounds to indefinite; lower hurst or shorten the trace "
+        "(fewer sequences, a larger packet_size or dt, or a lower capacity)"
+    )
+
+
+def _irfft(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """numpy's irfft(re + 1j*im, n=m) of the spectrum's bins 0..m/2 (bins 0
+    and m/2 real), as the float view of one buffer of L = m/2 complex points:
+    y = ifft(C), C[k] = W + g*(X[k] - W) with W = conj X[L-k] and
+    g = (1 + i*e^(i*pi*k/L))/2, is y[j] = x[2j] + i*x[2j+1]."""
+    half = len(re) - 1
+    grid = np.empty(_grid_shape(half), dtype=complex)
     l1, l2 = grid.shape
-    lam = np.empty(half + 1)
-    lam[half] = grid[0, 0].real - grid[0, 0].imag  # the formula at k = half
-    for a, b, g in _blocks(grid.shape):
-        y = grid[:, a:b].T.flatten()
-        np.conjugate(y, out=y)
-        # Y[half-k] for k = a*l1 .. b*l1-1: columns l2-b .. l2-a (column l2 is column 0)
-        w = grid[:, np.arange(l2 - b, l2 - a + 1) % l2].T.reshape(-1)[(b - a) * l1 : 0 : -1]
-        y -= w
-        y *= g
-        y += w
-        lam[a * l1 : b * l1] = y.real
-    if lam.min() < -1e-8 * lam.max():
-        return None
-    np.clip(lam, 0.0, None, out=lam)
-    return lam
+    # C in natural order, a block of grid columns a..b-1 (the points
+    # k = a*L1 .. b*L1-1) at a time, laid out for _fft_inplace
+    row = 0.5j * _roots(np.arange(l1), 2 * half)
+    cols = max(1, _BLOCK // l1)
+    for a in range(0, l2, cols):
+        b = min(a + cols, l2)
+        s, e = a * l1, b * l1
+        c = np.empty(e - s, dtype=complex)
+        c.real, c.imag = re[s:e], im[s:e]
+        w = np.empty_like(c)
+        w.real = re[half - s : half - e : -1]
+        np.negative(im[half - s : half - e : -1], out=w.imag)
+        g = np.multiply.outer(_roots(np.arange(a, b), 2 * l2), row).reshape(-1)
+        g += 0.5
+        c -= w
+        c *= g
+        c += w
+        grid[:, a:b] = c.reshape(b - a, l1).T
+    _fft_inplace(grid)
+    return grid.reshape(-1).view(float)
 
 
 def _grid_shape(length: int) -> tuple[int, int]:
@@ -175,48 +172,31 @@ def _roots(k: np.ndarray, order: int) -> np.ndarray:
     return np.exp(2j * np.pi / order * (k % order))
 
 
-_BLOCK = 1 << 16  # complex points per block of the pre- and post-pass
+_BLOCK = 1 << 16  # complex points per block of _irfft's pre-pass
 
 
-def _blocks(shape: tuple[int, int]) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Blocks of an (L1, L2) grid in natural order, for the half-length real
-    transform's pre- and post-pass: yields (a, b, g) for grid columns a..b-1,
-    which hold the points k = a*L1 .. b*L1-1, and g = (1 + i*e^(i*pi*k/L))/2
-    over those k in natural order (a fresh array)."""
-    l1, l2 = shape
-    row = 0.5j * _roots(np.arange(l1), 2 * l1 * l2)
-    cols = max(1, _BLOCK // l1)
-    for a in range(0, l2, cols):
-        b = min(a + cols, l2)
-        g = np.multiply.outer(_roots(np.arange(a, b), 2 * l2), row)
-        g += 0.5
-        yield a, b, g.reshape(-1)
-
-
-def _fft_inplace(grid: np.ndarray, inverse: bool) -> None:
-    """In-place complex DFT of length L = L1*L2 on a C-contiguous (L1, L2) grid.
+def _fft_inplace(grid: np.ndarray) -> None:
+    """In-place inverse complex DFT (numpy's ifft) of length L = L1*L2 on a
+    C-contiguous (L1, L2) grid.
 
     Four-step (Bailey 1990): transform along one axis, twiddle, transform
     along the other.  numpy transforms a batch one lane at a time, so the only
-    scratch is one lane.  Forward (numpy's fft) reads the input from
-    grid.reshape(-1) and leaves Y[k1 + L1*k2] at grid[k1, k2], i.e. the
-    spectrum in natural order along grid.T; inverse (numpy's ifft) is the
-    exact reverse.  With L1 = 1 (a prime L) the grid is one lane.
+    scratch is one lane.  It reads the input in natural order along grid.T
+    and leaves the output in natural order in grid.reshape(-1).  With L1 = 1
+    (a prime L) the grid is one lane.
     """
     l1, l2 = grid.shape
-    sign = 1 if inverse else -1
-    transform = np.fft.ifft if inverse else np.fft.fft
-    transform(grid, axis=1 if inverse else 0, out=grid)
-    # grid[k1, j2] *= e^(sign*2i*pi*k1*j2/L), `step` rows at a time: row
-    # a + r takes table[r] * e^(sign*2i*pi*a*j2/L); a single row needs none
+    np.fft.ifft(grid, axis=1, out=grid)
+    # grid[k1, j2] *= e^(2i*pi*k1*j2/L), `step` rows at a time: row a + r
+    # takes table[r] * e^(2i*pi*a*j2/L); a single row needs none
     if l1 > 1:
         step = math.isqrt(l1)
-        j2 = sign * np.arange(l2)
+        j2 = np.arange(l2)
         table = _roots(np.multiply.outer(np.arange(step), j2), l1 * l2)
         for a in range(0, l1, step):
             rows = grid[a : a + step]
             rows *= table[: len(rows)] * _roots(a * j2, l1 * l2)
-    transform(grid, axis=0 if inverse else 1, out=grid)
+    np.fft.ifft(grid, axis=0, out=grid)
 
 
 @dataclass(frozen=True)

@@ -112,6 +112,37 @@ def test_trace_beyond_physical_memory_exits_2_before_synthesis(
     assert not out.exists()
 
 
+def test_ensemble_beyond_physical_memory_exits_2_before_synthesis(tmp_path, capsys, monkeypatch):
+    # every variant fits on its own, but not with the spectral scales fbm
+    # caches for the others
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    caps = [1e7, 2e7, 3e7]
+    lens = [RunConfig(capacity=c, packet_size=500.0, sequences=300).finalize().embedding_len
+            for c in caps]
+    per_point = abprobe.experiment.PEAK_BYTES_PER_POINT
+    one, ensemble = per_point * max(lens), per_point * lens[2] + 4 * (lens[0] + lens[1])
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", (one + ensemble) // 2)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--capacity", ",".join(map(str, caps)), "--packet-size", "500",
+            "--sequences", "300", "--packets", "13", "--portions", "3", "--out", str(out)]
+    assert main(argv) == 2
+    assert "ensemble of 3 traffic traces" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run"],
+    ["sweep", "--seeds", "0,1", "--workers", "2"],  # raised in a worker process
+])
+def test_indefinite_embedding_exits_2(tmp_path, capsys, command):
+    # H = 0.99 on ~1e6 samples: both embeddings round to indefinite
+    out = tmp_path / "x.csv"
+    assert main([*command, "--hurst", "0.99", "--sequences", "300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "rounds to indefinite" in err and "hurst=0.99" in err and "lower hurst" in err
+    assert not out.exists()
+
+
 def test_compare_bart_validates_every_variant_before_synthesis(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
     out = tmp_path / "cmp.csv"

@@ -219,11 +219,12 @@ def test_fgn_rejects_bad_args():
 
 
 # -- agreement with the straightforward formulas ------------------------------
-# The synthesis and the eigenvalues run as half-length complex four-step FFTs;
-# these references use numpy's length-m rfft/irfft.  The rounding differs, so
-# they agree to stated tolerances: omega (and the clamped grid) within
-# 1e-12*max|omega|, eigenvalues within 1e-13*max(lam), and clamp_fraction
-# within two grid points.  Measured: ~1e-14 and ~2e-15 on these cases.
+# The synthesis and the eigenvalues run through one half-length complex
+# four-step inverse FFT; these references use numpy's length-m rfft/irfft.
+# The rounding differs, so they agree to stated tolerances: omega (and the
+# clamped grid) within 1e-12*max|omega|, eigenvalues within 1e-13*max(lam),
+# and clamp_fraction within two grid points.  Measured: ~1e-14 and ~2e-15
+# on these cases.
 
 OMEGA_RTOL = 1e-12
 LAM_RTOL = 1e-13
@@ -303,21 +304,36 @@ def test_trace_matches_reference_over_several_blocks(hurst):
 
 @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.75, 0.99])
 def test_embedding_eigenvalues_bit_identical(hurst):
-    # within LAM_RTOL; m = 2n at n = 7 and 1009 makes the half length prime
+    # within LAM_RTOL, on the padded embedding m = _next_fast_len(2n)
     for n in (2, 7, 1000, 1009):
-        for m in (_next_fast_len(2 * n), 2 * n):
-            lam = fbm._embedding_eigenvalues(n, hurst, m)
-            ref = reference_eigenvalues(hurst, m)
-            if ref.min() < -1e-8 * ref.max():
-                assert lam is None
-            else:
-                assert np.abs(lam - np.clip(ref, 0.0, None)).max() <= LAM_RTOL * ref.max()
+        lam = fbm._embedding_eigenvalues(n, hurst)
+        assert len(lam) == _next_fast_len(2 * n) // 2 + 1
+        ref = reference_eigenvalues(hurst, _next_fast_len(2 * n))
+        assert np.abs(lam - np.clip(ref, 0.0, None)).max() <= LAM_RTOL * ref.max()
+
+
+@pytest.mark.parametrize("n, hurst", [(1605456, 0.93), (1003333, 0.99)])
+def test_embedding_falls_back_to_2n_then_raises(n, hurst):
+    # The expected choice is the first embedding the rfft reference finds
+    # definite.  Here the padded one rounds to indefinite in both cases; the
+    # minimal 2n one is definite in the first (lam_min/lam_max = +1.0e-8,
+    # against -2.2e-8 padded) and indefinite too in the second.
+    fits = [(m, reference_eigenvalues(hurst, m)) for m in (_next_fast_len(2 * n), 2 * n)]
+    fits = [(m, ref) for m, ref in fits if ref.min() >= -1e-8 * ref.max()]
+    if not fits:
+        with pytest.raises(ValueError, match=f"n={n}-increment traffic trace at hurst={hurst}"):
+            fbm._embedding_eigenvalues(n, hurst)
+        return
+    m, ref = fits[0]
+    lam = fbm._embedding_eigenvalues(n, hurst)
+    assert len(lam) == m // 2 + 1
+    assert np.abs(lam - np.clip(ref, 0.0, None)).max() <= LAM_RTOL * ref.max()
 
 
 @pytest.mark.parametrize("n", [7, 1009])
 def test_prime_fallback_synthesis_matches_reference(monkeypatch, n):
-    # an embedding length of exactly 2n (the fallback) gives a prime half
-    # length, which the four-step FFT runs as a single lane
+    # an embedding length of exactly 2n, as the fallback uses, gives a prime
+    # half length, which the four-step FFT runs as a single lane
     monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     assert fbm._grid_shape(n) == (1, n)
@@ -328,18 +344,13 @@ def test_prime_fallback_synthesis_matches_reference(monkeypatch, n):
 
 @pytest.mark.parametrize("length", [1, 2, 97, 18000])
 def test_fft_inplace_matches_numpy(length):
+    # the input in natural order along grid.T, the output in grid.reshape(-1)
     rng = np.random.default_rng(length)
     x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
     shape = fbm._grid_shape(length)
-    # forward: natural order in, the spectrum in natural order along grid.T
-    grid = x.reshape(shape).copy()
-    fbm._fft_inplace(grid, inverse=False)
-    ref = np.fft.fft(x)
-    assert np.abs(grid.T.reshape(-1) - ref).max() <= 1e-13 * np.abs(ref).max()
-    # inverse: the exact reverse
     grid = np.empty(shape, dtype=complex)
     grid.T[...] = x.reshape(shape[::-1])
-    fbm._fft_inplace(grid, inverse=True)
+    fbm._fft_inplace(grid)
     ref = np.fft.ifft(x)
     assert np.abs(grid.reshape(-1) - ref).max() <= 1e-13 * np.abs(ref).max()
 
