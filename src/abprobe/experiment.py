@@ -56,10 +56,11 @@ EVENT_HEADER = ["seq_id", "pkt_idx", "portion", "send_t", "arrive_t", "depart_t"
 SWEEP_HEADER = ["M", "P", "C", "S", "H", "lambda", "seed", "xi_sim", "xi_analytic", "xi_empirical"]
 COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 
-# peak bytes per circulant-embedding point of trace synthesis: the normals,
-# the half-length FFT buffer and the cached scale (peak RSS rise over the
-# embedding length on the 3.3 M- and 10 M-sample runs: 21.8 and 20.6 B)
-PEAK_BYTES_PER_POINT = 22
+# peak bytes per circulant-embedding point of a run: trace synthesis holds
+# the half-length FFT buffer, which the normals are drawn into, the cached
+# scale and the increments (peak RSS rise over the embedding length on the
+# 3.3 M- and 10 M-sample runs: 18.3 and 17.1 B)
+PEAK_BYTES_PER_POINT = 19
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -372,11 +373,16 @@ def _seed_task(args):
     return seed, xis
 
 
+def _pool_size(max_workers: int, n_seeds: int) -> int:
+    """Worker processes of an ensemble: at most one per seed and per CPU."""
+    return min(max_workers, n_seeds, os.cpu_count() or 1)
+
+
 def _map_seeds(task, base, payload, seeds, max_workers) -> dict:
     """task((base, payload, seed)) -> (seed, result) for every seed, keyed by
-    seed; in a process pool of at most one worker per seed and per CPU."""
+    seed; in a process pool of _pool_size workers when that is above one."""
     tasks = [(base, payload, seed) for seed in seeds]
-    workers = min(max_workers, len(tasks), os.cpu_count() or 1)
+    workers = _pool_size(max_workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(pool.map(task, tasks))
@@ -392,10 +398,12 @@ def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[
         raise ValueError("an ensemble needs at least one seed")
     cfgs = [replace(base, **v).finalize() for v in variants]
     # a worker synthesizes one trace at a time, but fbm keeps the spectral
-    # scales (4 B per embedding point) of up to three other (n, H) pairs
+    # scales (4 B per embedding point) of up to three other (n, H) pairs;
+    # each worker process holds its own trace and scales
     lens = sorted({(c.fbm_params().n_samples, c.hurst): c.embedding_len for c in cfgs}.values())
-    peak = PEAK_BYTES_PER_POINT * lens[-1] + 4 * sum(lens[-4:-1])
-    _check_memory(peak, f"the ensemble of {len(lens)} traffic traces")
+    workers = _pool_size(max_workers, len(seeds))
+    peak = workers * (PEAK_BYTES_PER_POINT * lens[-1] + 4 * sum(lens[-4:-1]))
+    _check_memory(peak, f"the ensemble of {len(lens)} traffic traces on {workers} worker(s)")
     by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
     rows = []
     for idx, cfg in enumerate(cfgs):

@@ -8,9 +8,12 @@ queries between grid points belong to the path (abprobe.path.PathModel).
 
 omega comes from exact Davies-Harte synthesis.  One length-m real inverse
 transform serves both the embedding's eigenvalues and the synthesis: a
-length-m/2 complex one plus an O(m) pre-pass, in place by a four-step FFT
-(Bailey 1990) over numpy's batched transforms, whose only scratch is one
-lane of the transform grid.
+length-m/2 complex one plus an O(m) pre-pass that pairs bin k with bin
+m/2-k, in place by a four-step FFT (Bailey 1990) over numpy's batched
+transforms, whose only scratch is one lane of the transform grid.  The
+synthesis draws its normals straight into that one buffer, so it peaks at
+about 16 B per embedding point.  The normal draw, the pre-pass, the output
+gather and the clamp build each run in blocks of _BLOCK points.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
     embeddings round to indefinite, ValueError (the CLI exits 2).
 
     The eigenvalues and the synthesis share one transform, _irfft, in place
-    on one buffer of m/2 complex points, so the synthesis peaks at about
-    20 B per embedding point: the m normals, that buffer and the cached scale.
+    on one buffer of m/2 complex points.  The m normals are drawn, scaled,
+    straight into that buffer, so the synthesis peaks at about 16 B per
+    embedding point: the buffer, the cached scale and the n increments.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -83,22 +87,30 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
             _SCALE_CACHE.pop(next(iter(_SCALE_CACHE)))
         _SCALE_CACHE[key] = scale
 
-    # Hermitian spectral synthesis: m real normals -> one exact sample path.
-    # spec holds the real and the imaginary parts of bins 0..half; bins 0 and
-    # half are real, so the imaginary parts move up one slot past a zero.
+    # Hermitian spectral synthesis: m real normals -> one exact sample path,
+    # drawn in the order re[0..half] then im[1..half-1].  Bins 0..half-1 fill
+    # the transform buffer; the real bin half stays a scalar.
     half = len(scale) - 1
-    m = 2 * half
-    spec = np.empty((2, half + 1))
-    flat = spec.reshape(-1)
-    rng.standard_normal(out=flat[:m])
-    flat[half + 2 : m + 1] = flat[half + 1 : m]
-    spec[1, 0] = spec[1, half] = 0.0
-    spec *= scale
-    return _irfft(*spec)[:n]
+    spec = np.empty(half, dtype=complex)
+    _scaled_normals(rng, scale[:half], spec.real)
+    nyquist = rng.standard_normal() * scale[half]
+    _scaled_normals(rng, scale[1:half], spec.imag[1:])
+    out = np.empty(n)
+    _irfft(spec, nyquist, out)
+    return out
 
 
 # spectral scales are a pure function of (n, hurst); reuse across seeds
 _SCALE_CACHE: dict[tuple[int, float], np.ndarray] = {}
+
+
+def _scaled_normals(rng: np.random.Generator, scale: np.ndarray, out: np.ndarray) -> None:
+    """out = scale * len(out) standard normals, drawn _BLOCK at a time (the
+    same stream as one draw); out may be strided."""
+    z = np.empty(min(_BLOCK, len(out)))
+    for s in range(0, len(out), _BLOCK):
+        e = min(s + _BLOCK, len(out))
+        np.multiply(rng.standard_normal(out=z[: e - s]), scale[s:e], out=out[s:e])
 
 
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
@@ -118,8 +130,8 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
         del q
         # the circulant's first row gamma(0..half), gamma(half-1..1) is real and
         # symmetric, so its eigenvalues are m * irfft(gamma), written over gamma
-        lam = _irfft(gamma, np.broadcast_to(0.0, half + 1))[: half + 1]
-        lam = np.multiply(lam, m, out=gamma)
+        _irfft(gamma[:half].astype(complex), gamma[half], gamma)
+        lam = np.multiply(gamma, m, out=gamma)
         if lam.min() >= -1e-8 * lam.max():
             return np.clip(lam, 0.0, None, out=lam)
     raise ValueError(
@@ -129,34 +141,46 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     )
 
 
-def _irfft(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """numpy's irfft(re + 1j*im, n=m) of the spectrum's bins 0..m/2 (bins 0
-    and m/2 real), as the float view of one buffer of L = m/2 complex points:
-    y = ifft(C), C[k] = W + g*(X[k] - W) with W = conj X[L-k] and
-    g = (1 + i*e^(i*pi*k/L))/2, is y[j] = x[2j] + i*x[2j+1]."""
-    half = len(re) - 1
-    grid = np.empty(_grid_shape(half), dtype=complex)
-    l1, l2 = grid.shape
-    # C in natural order, a block of grid columns a..b-1 (the points
-    # k = a*L1 .. b*L1-1) at a time, laid out for _fft_inplace
-    row = 0.5j * _roots(np.arange(l1), 2 * half)
-    cols = max(1, _BLOCK // l1)
-    for a in range(0, l2, cols):
-        b = min(a + cols, l2)
-        s, e = a * l1, b * l1
-        c = np.empty(e - s, dtype=complex)
-        c.real, c.imag = re[s:e], im[s:e]
-        w = np.empty_like(c)
-        w.real = re[half - s : half - e : -1]
-        np.negative(im[half - s : half - e : -1], out=w.imag)
-        g = np.multiply.outer(_roots(np.arange(a, b), 2 * l2), row).reshape(-1)
+def _irfft(spec: np.ndarray, nyquist: float, out: np.ndarray) -> None:
+    """out = the first len(out) <= m points of numpy's irfft(X, n=m) of the
+    spectrum X[0..L], L = m/2, whose bins 0..L-1 are in spec (bin 0's
+    imaginary part is ignored) and whose real bin L is nyquist.  spec, which
+    becomes the transform's working buffer, is overwritten.
+
+    y = ifft(C), C[k] = W + g_k*(X[k] - W) with W = conj X[L-k] and
+    g_k = 1/2 + h_k, h_k = i*e^(i*pi*k/L)/2, is y[j] = x[2j] + i*x[2j+1].
+    The pre-pass runs in place, pairing bin k with bin L-k: with
+    E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
+    g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).  Bin 0 pairs with
+    the real bin L, and for even L the bin L/2 pairs with itself.
+    """
+    half = len(spec)
+    x0 = spec[0].real
+    spec[0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
+    mid = half // 2
+    h = 0.5j * _roots(np.arange(min(_BLOCK, mid)), 2 * half)
+    for s in range(1, mid + 1, _BLOCK):
+        e = min(s + _BLOCK, mid + 1)
+        lo = spec[s:e]  # X[k], k = s..e-1
+        hi = spec[half - e + 1 : half - s + 1][::-1]  # X[L-k]
+        w = np.conjugate(hi)
+        g = h[: e - s] * _roots(s, 2 * half)
         g += 0.5
-        c -= w
-        c *= g
-        c += w
-        grid[:, a:b] = c.reshape(b - a, l1).T
+        g *= lo - w
+        np.add(w, g, out=w)  # C[k]
+        np.subtract(lo, g, out=g)
+        np.conjugate(g, out=hi)  # C[L-k]
+        lo[...] = w
+    grid = spec.reshape(_grid_shape(half))
     _fft_inplace(grid)
-    return grid.reshape(-1).view(float)
+    # y lies in natural order along grid.T: gather its first len(out) reals,
+    # a block of grid columns (cols*L1 points of y) at a time
+    l1, l2 = grid.shape
+    cols = max(1, _BLOCK // l1)
+    for a in range(0, min(l2, -(-len(out) // (2 * l1))), cols):
+        s = 2 * a * l1
+        y = grid[:, a : a + cols].T.copy().reshape(-1).view(float)
+        out[s : s + len(y)] = y[: len(out) - s]
 
 
 def _grid_shape(length: int) -> tuple[int, int]:
@@ -167,12 +191,12 @@ def _grid_shape(length: int) -> tuple[int, int]:
     return l1, length // l1
 
 
-def _roots(k: np.ndarray, order: int) -> np.ndarray:
+def _roots(k: np.ndarray | int, order: int) -> np.ndarray | complex:
     """exp(2i*pi*k/order) for integer k, reduced mod order before scaling."""
     return np.exp(2j * np.pi / order * (k % order))
 
 
-_BLOCK = 1 << 16  # complex points per block of _irfft's pre-pass
+_BLOCK = 1 << 16  # points per block of the normal draw, _irfft's passes and the clamp build
 
 
 def _fft_inplace(grid: np.ndarray) -> None:
@@ -181,22 +205,22 @@ def _fft_inplace(grid: np.ndarray) -> None:
 
     Four-step (Bailey 1990): transform along one axis, twiddle, transform
     along the other.  numpy transforms a batch one lane at a time, so the only
-    scratch is one lane.  It reads the input in natural order along grid.T
-    and leaves the output in natural order in grid.reshape(-1).  With L1 = 1
-    (a prime L) the grid is one lane.
+    scratch is one lane.  It reads the input in natural order in
+    grid.reshape(-1) and leaves the output in natural order along grid.T.
+    With L1 = 1 (a prime L) the grid is one lane.
     """
     l1, l2 = grid.shape
-    np.fft.ifft(grid, axis=1, out=grid)
-    # grid[k1, j2] *= e^(2i*pi*k1*j2/L), `step` rows at a time: row a + r
-    # takes table[r] * e^(2i*pi*a*j2/L); a single row needs none
+    np.fft.ifft(grid, axis=0, out=grid)
+    # grid[j1, k2] *= e^(2i*pi*j1*k2/L), `step` rows at a time: row a + r
+    # takes table[r] * e^(2i*pi*a*k2/L); a single row needs none
     if l1 > 1:
         step = math.isqrt(l1)
-        j2 = np.arange(l2)
-        table = _roots(np.multiply.outer(np.arange(step), j2), l1 * l2)
+        k2 = np.arange(l2)
+        table = _roots(np.multiply.outer(np.arange(step), k2), l1 * l2)
         for a in range(0, l1, step):
             rows = grid[a : a + step]
-            rows *= table[: len(rows)] * _roots(a * j2, l1 * l2)
-    np.fft.ifft(grid, axis=0, out=grid)
+            rows *= table[: len(rows)] * _roots(a * k2, l1 * l2)
+    np.fft.ifft(grid, axis=1, out=grid)
 
 
 @dataclass(frozen=True)
@@ -252,15 +276,23 @@ class FbmTrace:
             raise ValueError("omega must start at zero")
         self.params = params
         self.omega = omega
-        raw = np.arange(omega.shape[0], dtype=float)
-        raw *= params.dt
-        raw *= params.mu
-        raw += params.sigma * omega
-        # monotone clamp: running max of max(0, raw)
-        cum = np.maximum(raw, 0.0)
-        np.maximum.accumulate(cum, out=cum)
+        # monotone clamp: running max of max(0, raw), raw = mu*t + sigma*omega,
+        # a block at a time; `top` (>= 0) is the clamp so far
+        n = omega.shape[0]
+        cum = np.empty(n)
+        top, clamped = 0.0, 0
+        for s in range(0, n, _BLOCK):
+            c = cum[s : s + _BLOCK]
+            raw = np.arange(s, s + len(c), dtype=float)
+            raw *= params.dt
+            raw *= params.mu
+            raw += params.sigma * omega[s : s + len(c)]
+            np.maximum(raw, top, out=c)
+            np.maximum.accumulate(c, out=c)
+            clamped += np.count_nonzero(c > raw)
+            top = c[-1]
         # fraction of grid points where the monotone clamp altered raw b(t)
-        self.clamp_fraction = float(np.mean(cum > raw))
+        self.clamp_fraction = clamped / n
         self._cum = cum
         for arr in (self.omega, self._cum):
             arr.flags.writeable = False
@@ -284,7 +316,7 @@ def generate_trace(params: FbmParams) -> FbmTrace:
     omega = np.empty(n_incr + 1)
     omega[0] = 0.0
     np.cumsum(incr, out=omega[1:])
-    del incr  # a view that keeps the whole FFT output alive
+    del incr  # freed before the clamp build
     return FbmTrace(params, omega)
 
 

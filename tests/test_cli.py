@@ -130,6 +130,27 @@ def test_ensemble_beyond_physical_memory_exits_2_before_synthesis(tmp_path, caps
     assert not out.exists()
 
 
+def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
+    # two workers each synthesize a trace: one fits, two at once do not
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("worker pool started")
+
+    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.experiment, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(abprobe.experiment.os, "cpu_count", lambda: 2)
+    length = RunConfig(sequences=300).finalize().embedding_len
+    per_point = abprobe.experiment.PEAK_BYTES_PER_POINT
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", 3 * per_point * length // 2)
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--sequences", "300", "--seeds", "0,1", "--out", str(out)]
+    assert main([*argv, "--workers", "2"]) == 2
+    assert "ensemble of 1 traffic traces on 2 worker(s)" in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="trace synthesis reached"):
+        main([*argv, "--workers", "1"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["run"],
     ["sweep", "--seeds", "0,1", "--workers", "2"],  # raised in a worker process
