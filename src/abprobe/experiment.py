@@ -57,10 +57,10 @@ SWEEP_HEADER = ["M", "P", "C", "S", "H", "lambda", "seed", "xi_sim", "xi_analyti
 COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 
 # peak bytes per circulant-embedding point of a run: trace synthesis holds
-# the half-length FFT buffer, which the normals are drawn into, the cached
-# scale and the increments (peak RSS rise over the embedding length on the
-# 3.3 M- and 10 M-sample runs: 18.3 and 17.1 B)
-PEAK_BYTES_PER_POINT = 19
+# the half-length FFT buffer, which the normals are drawn into and the
+# samples stay in, and the cached scale (peak RSS rise over the embedding
+# length on the 3.3 M- and 10 M-sample runs: 14.1 and 12.9 B)
+PEAK_BYTES_PER_POINT = 15
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

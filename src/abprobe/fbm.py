@@ -3,17 +3,21 @@
 The cumulative cross-traffic volume is b(t) = mu*t + sigma*omega(t), where
 omega is standard fBm with Var(omega(t)) = |t|^(2H).  Raw b(t) can decrease
 (omega is signed); traffic volumes cannot, so the trace keeps the monotone
-clamp b~(t) = max_{s<=t} max(0, b(s)) on its sample grid.  Volume and rate
-queries between grid points belong to the path (abprobe.path.PathModel).
+clamp b~(t) = max_{s<=t} max(0, b(s)) on its sample grid, and only that.
+Volume and rate queries between grid points belong to the path
+(abprobe.path.PathModel).
 
 omega comes from exact Davies-Harte synthesis.  One length-m real inverse
 transform serves both the embedding's eigenvalues and the synthesis: a
 length-m/2 complex one plus an O(m) pre-pass that pairs bin k with bin
 m/2-k, in place by a four-step FFT (Bailey 1990) over numpy's batched
 transforms, whose only scratch is one lane of the transform grid.  The
-synthesis draws its normals straight into that one buffer, so it peaks at
-about 16 B per embedding point.  The normal draw, the pre-pass, the output
-gather and the clamp build each run in blocks of _BLOCK points.
+synthesis draws its normals straight into that one buffer, its output is
+put in order inside the buffer, which then shrinks in place to the trace's
+samples, and omega's running sum and the clamp are built over those same
+samples.  So every phase peaks at about 12 B per embedding point.  The
+normal draw, the pre-pass, the output moves, the running sum and the clamp
+build each run in blocks of _BLOCK points.
 """
 
 from __future__ import annotations
@@ -64,15 +68,23 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
 
     The eigenvalues and the synthesis share one transform, _irfft, in place
     on one buffer of m/2 complex points.  The m normals are drawn, scaled,
-    straight into that buffer, so the synthesis peaks at about 16 B per
-    embedding point: the buffer, the cached scale and the n increments.
+    straight into that buffer, so the synthesis peaks at about 12 B per
+    embedding point (the buffer and the cached scale), and the increments
+    are returned in the buffer itself, shrunk to their n floats.
     """
+    return _fgn(n, hurst, rng, 0)
+
+
+def _fgn(n: int, hurst: float, rng: np.random.Generator, lead: int) -> np.ndarray:
+    """lead zeros, then fgn_davies_harte's n increments, in one array."""
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     if n < 1:
         raise ValueError(f"need at least one increment, got n={n}")
     if n == 1:
-        return rng.standard_normal(1)
+        x = np.zeros(lead + 1)
+        rng.standard_normal(out=x[lead:])
+        return x
 
     key = (n, hurst)
     scale = _SCALE_CACHE.get(key)
@@ -86,22 +98,25 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
         if len(_SCALE_CACHE) >= 4:
             _SCALE_CACHE.pop(next(iter(_SCALE_CACHE)))
         _SCALE_CACHE[key] = scale
-
-    # Hermitian spectral synthesis: m real normals -> one exact sample path,
-    # drawn in the order re[0..half] then im[1..half-1].  Bins 0..half-1 fill
-    # the transform buffer; the real bin half stays a scalar.
-    half = len(scale) - 1
-    spec = np.empty(half, dtype=complex)
-    _scaled_normals(rng, scale[:half], spec.real)
-    nyquist = rng.standard_normal() * scale[half]
-    _scaled_normals(rng, scale[1:half], spec.imag[1:])
-    out = np.empty(n)
-    _irfft(spec, nyquist, out)
-    return out
+    # the buffer is built in a call of its own, so that _irfft holds its only
+    # reference and can shrink it in place
+    return _irfft(_normal_spectrum(rng, scale), lead, n)
 
 
 # spectral scales are a pure function of (n, hurst); reuse across seeds
 _SCALE_CACHE: dict[tuple[int, float], np.ndarray] = {}
+
+
+def _normal_spectrum(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
+    """Hermitian spectral synthesis: m = 2*(len(scale) - 1) real normals, times
+    the scale, drawn in the order re[0..L] then im[1..L-1] into _irfft's
+    packed spectrum of the half length L."""
+    half = len(scale) - 1
+    buf = np.empty(2 * half)
+    _scaled_normals(rng, scale[:half], buf[0::2])
+    buf[1] = rng.standard_normal() * scale[half]
+    _scaled_normals(rng, scale[1:half], buf[3::2])
+    return buf
 
 
 def _scaled_normals(rng: np.random.Generator, scale: np.ndarray, out: np.ndarray) -> None:
@@ -118,20 +133,10 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     increments: the padded m = _next_fast_len(2n) or, where that one rounds
     to indefinite, the minimal m = 2n (tried only if it is shorter)."""
     for m in dict.fromkeys((_next_fast_len(2 * n), 2 * n)):
-        half = m // 2
-        # q[k] = k^2H once; gamma(k) = 0.5*((q[k+1] - 2q[k]) + q[|k-1|])
-        q = np.arange(half + 2, dtype=float) ** (2.0 * hurst)
-        gamma = np.empty(half + 1)
-        np.multiply(q[: half + 1], 2.0, out=gamma)
-        np.subtract(q[1:], gamma, out=gamma)
-        gamma[0] += q[1]
-        gamma[1:] += q[:half]
-        gamma *= 0.5
-        del q
-        # the circulant's first row gamma(0..half), gamma(half-1..1) is real and
-        # symmetric, so its eigenvalues are m * irfft(gamma), written over gamma
-        _irfft(gamma[:half].astype(complex), gamma[half], gamma)
-        lam = np.multiply(gamma, m, out=gamma)
+        # the circulant's first row gamma(0..m/2), gamma(m/2-1..1) is real and
+        # symmetric, so its eigenvalues are m * irfft(gamma)
+        lam = _irfft(_covariance_spectrum(m // 2, hurst), 0, m // 2 + 1)
+        lam *= m
         if lam.min() >= -1e-8 * lam.max():
             return np.clip(lam, 0.0, None, out=lam)
     raise ValueError(
@@ -141,21 +146,52 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     )
 
 
-def _irfft(spec: np.ndarray, nyquist: float, out: np.ndarray) -> None:
-    """out = the first len(out) <= m points of numpy's irfft(X, n=m) of the
-    spectrum X[0..L], L = m/2, whose bins 0..L-1 are in spec (bin 0's
-    imaginary part is ignored) and whose real bin L is nyquist.  spec, which
-    becomes the transform's working buffer, is overwritten.
+def _covariance_spectrum(half: int, hurst: float) -> np.ndarray:
+    """The fGn autocovariance gamma(0..half) as _irfft's packed spectrum."""
+    # q[k] = k^2H once; gamma(k) = 0.5*((q[k+1] - 2q[k]) + q[|k-1|]), written
+    # straight into the real slots (a separate gamma array, freed after q,
+    # would stay in the malloc heap through the synthesis)
+    q = np.arange(half + 2, dtype=float) ** (2.0 * hurst)
+    buf = np.zeros(2 * half)
+    gamma = buf[0::2]
+    np.multiply(q[:half], 2.0, out=gamma)
+    np.subtract(q[1 : half + 1], gamma, out=gamma)
+    gamma[0] += q[1]
+    gamma[1:] += q[: half - 1]
+    gamma *= 0.5
+    buf[1] = 0.5 * ((q[half + 1] - 2.0 * q[half]) + q[half - 1])
+    return buf
+
+
+def _irfft(buf: np.ndarray, lead: int, count: int) -> np.ndarray:
+    """lead zeros, then the first count <= m/2 + 1 points of numpy's
+    irfft(X, n=m), in buf itself, shrunk to those lead + count floats.
+
+    buf (float, length m, owning its data) packs the spectrum X[0..L],
+    L = m/2: bins 0..L-1 as complex pairs, with the real bin L in the slot
+    of bin 0's imaginary part, which irfft ignores.  The caller must pass
+    buf as its only reference: the in-place shrink raises ValueError on any
+    other.
 
     y = ifft(C), C[k] = W + g_k*(X[k] - W) with W = conj X[L-k] and
     g_k = 1/2 + h_k, h_k = i*e^(i*pi*k/L)/2, is y[j] = x[2j] + i*x[2j+1].
-    The pre-pass runs in place, pairing bin k with bin L-k: with
+    """
+    _prepass(buf.view(complex))
+    l1, l2 = _grid_shape(len(buf) // 2)
+    _fft_inplace(buf.view(complex).reshape(l1, l2))
+    _natural_order(buf, l1, lead, count)
+    buf[:lead] = 0.0
+    buf.resize(lead + count)
+    return buf
+
+
+def _prepass(spec: np.ndarray) -> None:
+    """C from the packed X, in place, pairing bin k with bin L-k: with
     E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
     g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).  Bin 0 pairs with
-    the real bin L, and for even L the bin L/2 pairs with itself.
-    """
+    the real bin L, and for even L the bin L/2 pairs with itself."""
     half = len(spec)
-    x0 = spec[0].real
+    x0, nyquist = spec[0].real, spec[0].imag
     spec[0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
     mid = half // 2
     h = 0.5j * _roots(np.arange(min(_BLOCK, mid)), 2 * half)
@@ -171,16 +207,57 @@ def _irfft(spec: np.ndarray, nyquist: float, out: np.ndarray) -> None:
         np.subtract(lo, g, out=g)
         np.conjugate(g, out=hi)  # C[L-k]
         lo[...] = w
-    grid = spec.reshape(_grid_shape(half))
-    _fft_inplace(grid)
-    # y lies in natural order along grid.T: gather its first len(out) reals,
-    # a block of grid columns (cols*L1 points of y) at a time
-    l1, l2 = grid.shape
-    cols = max(1, _BLOCK // l1)
-    for a in range(0, min(l2, -(-len(out) // (2 * l1))), cols):
-        s = 2 * a * l1
-        y = grid[:, a : a + cols].T.copy().reshape(-1).view(float)
-        out[s : s + len(y)] = y[: len(out) - s]
+
+
+def _natural_order(buf: np.ndarray, l1: int, lead: int, count: int) -> None:
+    """Move x[0..count) from the transform's output, y in natural order along
+    the columns of the (l1, L/l1) grid in buf, to buf[lead : lead + count].
+
+    y[0..need) fills the first nc columns; the others are free.  A run of
+    whole free rows at a time, y is copied in natural order into the free
+    slots, row-major (their memory order); then each run is moved down to
+    the front, in the same order, so no move overwrites a slot still to be
+    read.  What the free slots cannot hold, at most l1 + 1 points, waits in
+    a side block.  A one-lane grid (a prime L) is in order already and is
+    shifted by lead, a block at a time from the end.
+    """
+    if l1 == 1:
+        if lead:
+            for e in range(count, 0, -_BLOCK):
+                s = max(0, e - _BLOCK)
+                buf[s + lead : e + lead] = buf[s:e]
+        return
+    grid = buf.view(complex).reshape(l1, -1)
+    need = -(-count // 2)
+    nc = -(-need // l1)
+    free = grid[:, nc:]
+    width = free.shape[1]
+    room = min(need, width * l1)
+    side = _column_run(grid, room, need).copy()
+    # runs of whole free rows, about _BLOCK slots each: (first slot, first
+    # row, whole rows, slots in a last partial row); room is 0 where width is
+    step = width * max(1, _BLOCK // max(width, 1))
+    runs = [(k, k // width, *divmod(min(step, room - k), width)) for k in range(0, room, step or 1)]
+    for k, r, full, rest in runs:
+        y = _column_run(grid, k, k + full * width + rest)
+        free[r : r + full] = y[: full * width].reshape(full, width)
+        if rest:
+            free[r + full, :rest] = y[full * width :]
+    rows = free.view(float)
+    for k, r, full, rest in runs:
+        out = buf[lead + 2 * k : lead + 2 * (k + full * width + rest)]
+        out[: 2 * full * width].reshape(full, 2 * width)[...] = rows[r : r + full]
+        if rest:
+            out[2 * full * width :] = rows[r + full, : 2 * rest]
+    buf[lead + 2 * room : lead + 2 * need] = side.view(float)
+
+
+def _column_run(grid: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """y[k0:k1] in natural order from the columns of the transform grid; a
+    copy, or a view where it lies in one column."""
+    l1 = grid.shape[0]
+    c0 = k0 // l1
+    return grid[:, c0 : -(-k1 // l1)].T.reshape(-1)[k0 - c0 * l1 : k1 - c0 * l1]
 
 
 def _grid_shape(length: int) -> tuple[int, int]:
@@ -196,7 +273,9 @@ def _roots(k: np.ndarray | int, order: int) -> np.ndarray | complex:
     return np.exp(2j * np.pi / order * (k % order))
 
 
-_BLOCK = 1 << 16  # points per block of the normal draw, _irfft's passes and the clamp build
+# points per block of the normal draw, _irfft's passes, the running sum and
+# the clamp build
+_BLOCK = 1 << 16
 
 
 def _fft_inplace(grid: np.ndarray) -> None:
@@ -260,10 +339,11 @@ class FbmParams:
 
 
 class FbmTrace:
-    """A sampled omega(t) path plus the clamped cumulative-volume grid.
+    """The clamped cumulative-volume grid of a sampled omega(t) path.
 
-    Immutable after construction, so a trace may be shared freely across
-    workers.
+    The grid is built in place over the float omega array it is given, which
+    the trace takes over; omega itself is not kept.  Immutable after
+    construction, so a trace may be shared freely across workers.
     """
 
     def __init__(self, params: FbmParams, omega: np.ndarray):
@@ -275,31 +355,28 @@ class FbmTrace:
         if omega[0] != 0.0:
             raise ValueError("omega must start at zero")
         self.params = params
-        self.omega = omega
         # monotone clamp: running max of max(0, raw), raw = mu*t + sigma*omega,
-        # a block at a time; `top` (>= 0) is the clamp so far
+        # a block at a time, over omega; `top` (>= 0) is the clamp so far
         n = omega.shape[0]
-        cum = np.empty(n)
         top, clamped = 0.0, 0
         for s in range(0, n, _BLOCK):
-            c = cum[s : s + _BLOCK]
+            c = omega[s : s + _BLOCK]
             raw = np.arange(s, s + len(c), dtype=float)
             raw *= params.dt
             raw *= params.mu
-            raw += params.sigma * omega[s : s + len(c)]
+            raw += params.sigma * c
             np.maximum(raw, top, out=c)
             np.maximum.accumulate(c, out=c)
             clamped += np.count_nonzero(c > raw)
             top = c[-1]
         # fraction of grid points where the monotone clamp altered raw b(t)
         self.clamp_fraction = clamped / n
-        self._cum = cum
-        for arr in (self.omega, self._cum):
-            arr.flags.writeable = False
+        omega.flags.writeable = False
+        self._cum = omega
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0]
+        return self._cum.shape[0]
 
     @property
     def cum_grid(self) -> np.ndarray:
@@ -308,19 +385,26 @@ class FbmTrace:
 
 
 def generate_trace(params: FbmParams) -> FbmTrace:
-    """Synthesize omega on the dt grid; bit-for-bit reproducible per seed."""
+    """Synthesize omega on the dt grid; bit-for-bit reproducible per seed.
+
+    omega is the increments' running sum, built in the synthesis's own
+    array, a block at a time; each block's first element takes the sum so
+    far, which leaves every addition the same as one cumsum's."""
     rng = np.random.default_rng(params.seed)
-    n_incr = params.n_samples - 1
-    incr = fgn_davies_harte(n_incr, params.hurst, rng)
-    incr *= params.dt**params.hurst
-    omega = np.empty(n_incr + 1)
-    omega[0] = 0.0
-    np.cumsum(incr, out=omega[1:])
-    del incr  # freed before the clamp build
+    omega = _fgn(params.n_samples - 1, params.hurst, rng, 1)
+    step = params.dt**params.hurst
+    total = 0.0
+    for s in range(0, len(omega), _BLOCK):
+        b = omega[s : s + _BLOCK]
+        b *= step
+        b[0] += total
+        np.cumsum(b, out=b)
+        total = b[-1]
     return FbmTrace(params, omega)
 
 
 def trace_from_samples(params: FbmParams, omega: np.ndarray) -> FbmTrace:
     """Wrap a float copy of externally supplied omega samples (e.g. built by
-    hand); the trace freezes its own array, so the caller's stays writable."""
+    hand); the trace clamps its own copy, so the caller's array is left as
+    it was and stays writable."""
     return FbmTrace(params, np.array(omega, dtype=float))

@@ -25,6 +25,19 @@ def make_params(**kw):
     return FbmParams(**base)
 
 
+def omega_of(params):
+    """The omega samples generate_trace(params) builds its clamped grid from
+    (the trace keeps only the grid), bit for bit."""
+    incr = fgn_davies_harte(params.n_samples - 1, params.hurst, np.random.default_rng(params.seed))
+    return np.concatenate([[0.0], np.cumsum(incr * params.dt**params.hurst)])
+
+
+def assert_owns_its_bytes(x, size):
+    # the transform buffer, shrunk to its samples, not a view of it
+    assert x.base is None and x.flags.owndata
+    assert len(x) == size and x.nbytes == 8 * size
+
+
 # -- parameter validation ---------------------------------------------------
 
 @pytest.mark.parametrize("hurst", [0.0, 1.0, -0.2, 1.5])
@@ -56,27 +69,30 @@ def test_trace_deterministic_under_seed():
     p = make_params(seed=1234, dt=0.25, horizon=10.0)
     a = generate_trace(p)
     b = generate_trace(p)
-    assert np.array_equal(a.omega, b.omega)
+    assert np.array_equal(omega_of(p), omega_of(p))
+    assert np.array_equal(a.cum_grid, b.cum_grid)
     # rebuilt from its omega samples, a trace has the same clamped volume
-    assert np.array_equal(trace_from_samples(p, a.omega).cum_grid, a.cum_grid)
+    assert np.array_equal(trace_from_samples(p, omega_of(p)).cum_grid, a.cum_grid)
 
 
 def test_different_seeds_differ():
-    a = generate_trace(make_params(seed=1))
-    b = generate_trace(make_params(seed=2))
-    assert not np.array_equal(a.omega, b.omega)
+    a = omega_of(make_params(seed=1))
+    b = omega_of(make_params(seed=2))
+    assert not np.array_equal(a, b)
 
 
 def test_omega_starts_at_zero():
-    assert generate_trace(make_params()).omega[0] == 0.0
+    # the trace's own omega has no separate array: FbmTrace rejects one that
+    # does not start at zero, and b(0) = sigma*omega(0) clamps to 0
+    assert omega_of(make_params())[0] == 0.0
+    assert generate_trace(make_params()).cum_grid[0] == 0.0
 
 
 # -- distributional fidelity --------------------------------------------------
 
 def test_h_half_reduces_to_brownian():
     # H=0.5: increments over disjoint unit intervals are iid standard normal
-    tr = generate_trace(make_params(hurst=0.5, dt=1.0, horizon=60000.0, seed=11))
-    inc = np.diff(tr.omega)
+    inc = np.diff(omega_of(make_params(hurst=0.5, dt=1.0, horizon=60000.0, seed=11)))
     n = len(inc)
     assert abs(inc.mean()) < 4.0 / np.sqrt(n)
     assert abs(inc.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
@@ -90,8 +106,8 @@ def test_fbm_covariance_monte_carlo():
     n_traces = 100_000
     prods = np.empty(n_traces)
     for s in range(n_traces):
-        tr = generate_trace(FbmParams(hurst=0.7, sigma=1.0, mu=0.0, dt=1.0, horizon=2.0, seed=s))
-        prods[s] = tr.omega[1] * tr.omega[2]
+        omega = omega_of(FbmParams(hurst=0.7, sigma=1.0, mu=0.0, dt=1.0, horizon=2.0, seed=s))
+        prods[s] = omega[1] * omega[2]
     se = prods.std(ddof=1) / np.sqrt(n_traces)
     assert abs(prods.mean() - expected) < 3.0 * se
 
@@ -103,9 +119,9 @@ def test_stationary_increments_ks():
     a = np.empty(n_traces)
     b = np.empty(n_traces)
     for s in range(n_traces):
-        tr = generate_trace(FbmParams(hurst=0.7, sigma=1.0, mu=0.0, dt=1.0, horizon=horizon, seed=s))
-        a[s] = tr.omega[1] - tr.omega[0]
-        b[s] = tr.omega[horizon // 2 + 1] - tr.omega[horizon // 2]
+        omega = omega_of(FbmParams(hurst=0.7, sigma=1.0, mu=0.0, dt=1.0, horizon=horizon, seed=s))
+        a[s] = omega[1] - omega[0]
+        b[s] = omega[horizon // 2 + 1] - omega[horizon // 2]
     _, pvalue = stats.ks_2samp(a, b)
     assert pvalue > 0.01
 
@@ -173,9 +189,9 @@ def test_trace_from_samples_leaves_caller_array_writable():
     w = np.array([0.0, -2.0, 1.0])
     tr = trace_from_samples(p, w)
     assert w.flags.writeable and w.tolist() == [0.0, -2.0, 1.0]
-    assert not tr.omega.flags.writeable
-    w[1] = 5.0  # the trace holds its own copy
-    assert tr.omega.tolist() == [0.0, -2.0, 1.0]
+    assert not tr.cum_grid.flags.writeable
+    w[1] = 5.0  # the trace clamped its own copy
+    assert tr.cum_grid.tolist() == [0.0, 0.0, 3.0]
     assert PathModel(10.0, tr).cumulative_cross_bits(1.0) == 0.0
 
 
@@ -276,7 +292,7 @@ def assert_trace_matches_reference(params):
     tr = generate_trace(params)
     omega, raw, cum = reference_trace(params)
     tol = OMEGA_RTOL * np.abs(omega).max()
-    assert np.abs(tr.omega - omega).max() <= tol
+    assert np.abs(omega_of(params) - omega).max() <= tol
     assert np.abs(tr.cum_grid - cum).max() <= params.sigma * tol
     assert abs(tr.clamp_fraction - float(np.mean(cum > raw))) * tr.n <= 2
 
@@ -307,7 +323,7 @@ def test_embedding_eigenvalues_bit_identical(hurst):
     # within LAM_RTOL, on the padded embedding m = _next_fast_len(2n)
     for n in (2, 7, 1000, 1009):
         lam = fbm._embedding_eigenvalues(n, hurst)
-        assert len(lam) == _next_fast_len(2 * n) // 2 + 1
+        assert_owns_its_bytes(lam, _next_fast_len(2 * n) // 2 + 1)
         ref = reference_eigenvalues(hurst, _next_fast_len(2 * n))
         assert np.abs(lam - np.clip(ref, 0.0, None)).max() <= LAM_RTOL * ref.max()
 
@@ -338,6 +354,7 @@ def test_prime_fallback_synthesis_matches_reference(monkeypatch, n):
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     assert fbm._grid_shape(n) == (1, n)
     x = fgn_davies_harte(n, 0.7, np.random.default_rng(5))
+    assert_owns_its_bytes(x, n)
     want = reference_fgn(reference_eigenvalues(0.7, 2 * n), n, np.random.default_rng(5))
     assert np.abs(x - want).max() <= OMEGA_RTOL * np.abs(want).max()
 
@@ -356,8 +373,10 @@ def test_blocked_passes_match_reference(monkeypatch, block, half):
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     ref = reference_eigenvalues(0.7, 2 * half)
     lam = fbm._embedding_eigenvalues(half, 0.7)
+    assert_owns_its_bytes(lam, half + 1)
     assert np.abs(lam - np.clip(ref, 0.0, None)).max() <= LAM_RTOL * ref.max()
     x = fgn_davies_harte(half, 0.7, np.random.default_rng(half))
+    assert_owns_its_bytes(x, half)
     want = reference_fgn(ref, half, np.random.default_rng(half))
     assert np.abs(x - want).max() <= OMEGA_RTOL * np.abs(want).max()
 
@@ -366,7 +385,7 @@ def test_blocked_clamp_build_equals_whole_array_formula(monkeypatch):
     # bit for bit, with the running clamp carried across blocks of 4 points
     monkeypatch.setattr(fbm, "_BLOCK", 4)
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
-    omega = generate_trace(p).omega
+    omega = omega_of(p)
     tr = trace_from_samples(p, omega)
     raw = np.arange(p.n_samples, dtype=float)
     raw *= p.dt
@@ -377,6 +396,72 @@ def test_blocked_clamp_build_equals_whole_array_formula(monkeypatch):
     assert tr.clamp_fraction == float(np.mean(cum > raw))
     # the clamp binds across a block boundary at a level set in the block before
     assert any(cum[b] > raw[b] and cum[b] == cum[b - 1] > 0.0 for b in range(4, p.n_samples, 4))
+
+
+# -- the output in the transform's own buffer -----------------------------------
+
+def packed(spec):
+    """_irfft's packed spectrum of X[0..L]: bins 0..L-1 as complex pairs, the
+    real bin L in bin 0's imaginary slot."""
+    half = len(spec) - 1
+    buf = np.empty(2 * half)
+    buf[0::2] = spec[:half].real
+    buf[1::2] = spec[:half].imag
+    buf[1] = spec[half].real
+    return buf
+
+
+@pytest.mark.parametrize("block", [4, 1 << 16])
+@pytest.mark.parametrize(
+    "half, lead, count",
+    [
+        (16, 1, 9),  # 4 x 4 grid, room in the free columns
+        (18000, 1, 17000),  # 120 x 150, room, many runs of rows at block 4
+        (15, 1, 15),  # m = 2n on 3 x 5: two points in the side block
+        (1005, 1, 1005),  # m = 2n on 15 x 67: eight in the side block
+        (1000, 1, 1000),  # m = 2n on 25 x 40: the free columns just hold it
+        (13, 1, 13),  # prime L: one lane, only the lead shift
+        (1009, 1, 1009),
+        (16, 0, 17),  # the eigenvalues' L + 1 outputs: l1 + 1 in the side block
+        (1000, 0, 1001),
+        (13, 0, 14),
+        (4, 0, 5),  # 2 x 2: no free column at all
+    ],
+)
+def test_irfft_output_in_its_own_buffer(monkeypatch, block, half, lead, count):
+    monkeypatch.setattr(fbm, "_BLOCK", block)
+    rng = np.random.default_rng(half + count)
+    spec = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
+    want = np.fft.irfft(spec, n=2 * half)[:count]
+    x = fbm._irfft(packed(spec), lead, count)
+    assert_owns_its_bytes(x, lead + count)
+    assert np.all(x[:lead] == 0.0)
+    assert np.abs(x[lead:] - want).max() <= OMEGA_RTOL * np.abs(want).max()
+
+
+def test_irfft_refuses_a_buffer_held_elsewhere():
+    # the shrink is in place or not at all: a second reference raises
+    # instead of leaving a copy beside the full buffer
+    buf = packed(np.arange(9.0) + 0j)
+    with pytest.raises(ValueError, match="resize"):
+        fbm._irfft(buf, 0, 9)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, exact):
+    # bit for bit, in blocks of 4 points: the running sum and the clamp over
+    # the synthesis's own array against the clamp of a copy of omega
+    monkeypatch.setattr(fbm, "_BLOCK", 4)
+    if exact:
+        monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    for n in (2, 3, 9, 14, 16, 201):
+        p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=0.1 * (n - 1), seed=n)
+        tr = generate_trace(p)
+        ref = trace_from_samples(p, omega_of(p))
+        assert np.array_equal(tr.cum_grid, ref.cum_grid)
+        assert tr.clamp_fraction == ref.clamp_fraction
+        assert_owns_its_bytes(tr.cum_grid, n)
 
 
 @pytest.mark.parametrize("length", [1, 2, 97, 18000])
@@ -391,11 +476,11 @@ def test_fft_inplace_matches_numpy(length):
 
 
 def test_trace_build_peak_memory_per_sample():
-    # Measured: ~37.8 B per sample, i.e. the half-length FFT buffer the
-    # normals are drawn into (8 B), the cached scale (4 B) and the
-    # increments (4 B) per embedding point at m = 2n, plus ~5 B for the
-    # pre-pass blocks.  The FFT works inside that buffer with one lane of
-    # scratch, so tracemalloc sees the whole peak.
+    # Measured: ~28.8 B per sample, i.e. the half-length FFT buffer the
+    # normals are drawn into (8 B) and the cached scale (4 B) per embedding
+    # point at m = 2n, plus ~5 B for the pre-pass blocks.  The FFT works
+    # inside that buffer with one lane of scratch and the samples stay in it,
+    # so tracemalloc sees the whole peak.
     n = 2**20 + 1
     p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
     fbm._SCALE_CACHE.clear()
@@ -405,13 +490,14 @@ def test_trace_build_peak_memory_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 40.0
+    assert peak / n < 31.0
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_trace_build_peak_rss_per_embedding_point():
     # Peak RSS rise of one cold trace build in a fresh process, over its
-    # embedding length: ~19.4 B per point measured.  A length-m numpy irfft
+    # embedding length: ~15.0 B per point measured (12 B for the buffer and
+    # the scale, the rest the pre-pass blocks).  A length-m numpy irfft
     # needs ~24 B per point of output and working memory on its own (~37 B
     # for the whole build), which tracemalloc does not see.  The child reads
     # its own VmHWM, not ru_maxrss: a process started by exec inherits in
@@ -432,4 +518,4 @@ def test_trace_build_peak_rss_per_embedding_point():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert float(out.stdout) < 21.0
+    assert float(out.stdout) < 17.0
