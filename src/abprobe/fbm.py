@@ -23,6 +23,7 @@ build each run in blocks of _BLOCK points.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,9 +99,7 @@ def _fgn(n: int, hurst: float, rng: np.random.Generator, lead: int) -> np.ndarra
         if len(_SCALE_CACHE) >= 4:
             _SCALE_CACHE.pop(next(iter(_SCALE_CACHE)))
         _SCALE_CACHE[key] = scale
-    # the buffer is built in a call of its own, so that _irfft holds its only
-    # reference and can shrink it in place
-    return _irfft(_normal_spectrum(rng, scale), lead, n)
+    return _irfft(_normal_spectrum, (rng, scale), lead, n)
 
 
 # spectral scales are a pure function of (n, hurst); reuse across seeds
@@ -135,7 +134,7 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     for m in dict.fromkeys((_next_fast_len(2 * n), 2 * n)):
         # the circulant's first row gamma(0..m/2), gamma(m/2-1..1) is real and
         # symmetric, so its eigenvalues are m * irfft(gamma)
-        lam = _irfft(_covariance_spectrum(m // 2, hurst), 0, m // 2 + 1)
+        lam = _irfft(_covariance_spectrum, (m // 2, hurst), 0, m // 2 + 1)
         lam *= m
         if lam.min() >= -1e-8 * lam.max():
             return np.clip(lam, 0.0, None, out=lam)
@@ -163,19 +162,23 @@ def _covariance_spectrum(half: int, hurst: float) -> np.ndarray:
     return buf
 
 
-def _irfft(buf: np.ndarray, lead: int, count: int) -> np.ndarray:
+def _irfft(
+    build: Callable[..., np.ndarray], args: tuple, lead: int, count: int
+) -> np.ndarray:
     """lead zeros, then the first count <= m/2 + 1 points of numpy's
-    irfft(X, n=m), in buf itself, shrunk to those lead + count floats.
+    irfft(X, n=m), in the buffer build(*args) itself, shrunk to those
+    lead + count floats.
 
-    buf (float, length m, owning its data) packs the spectrum X[0..L],
+    The buffer (float, length m, owning its data) packs the spectrum X[0..L],
     L = m/2: bins 0..L-1 as complex pairs, with the real bin L in the slot
-    of bin 0's imaginary part, which irfft ignores.  The caller must pass
-    buf as its only reference: the in-place shrink raises ValueError on any
-    other.
+    of bin 0's imaginary part, which irfft ignores.  It is built here, so
+    that this call holds its only reference on any interpreter; the in-place
+    shrink raises ValueError if build kept another.
 
     y = ifft(C), C[k] = W + g_k*(X[k] - W) with W = conj X[L-k] and
     g_k = 1/2 + h_k, h_k = i*e^(i*pi*k/L)/2, is y[j] = x[2j] + i*x[2j+1].
     """
+    buf = build(*args)
     _prepass(buf.view(complex))
     l1, l2 = _grid_shape(len(buf) // 2)
     _fft_inplace(buf.view(complex).reshape(l1, l2))
@@ -218,8 +221,9 @@ def _natural_order(buf: np.ndarray, l1: int, lead: int, count: int) -> None:
     slots, row-major (their memory order); then each run is moved down to
     the front, in the same order, so no move overwrites a slot still to be
     read.  What the free slots cannot hold, at most l1 + 1 points, waits in
-    a side block.  A one-lane grid (a prime L) is in order already and is
-    shifted by lead, a block at a time from the end.
+    a side block; so does an output of at most _BLOCK points, whole.  A
+    one-lane grid (a prime L) is in order already and is shifted by lead, a
+    block at a time from the end.
     """
     if l1 == 1:
         if lead:
@@ -229,6 +233,9 @@ def _natural_order(buf: np.ndarray, l1: int, lead: int, count: int) -> None:
         return
     grid = buf.view(complex).reshape(l1, -1)
     need = -(-count // 2)
+    if need <= _BLOCK:
+        buf[lead : lead + 2 * need] = _column_run(grid, 0, need).copy().view(float)
+        return
     nc = -(-need // l1)
     free = grid[:, nc:]
     width = free.shape[1]
@@ -341,13 +348,22 @@ class FbmParams:
 class FbmTrace:
     """The clamped cumulative-volume grid of a sampled omega(t) path.
 
-    The grid is built in place over the float omega array it is given, which
-    the trace takes over; omega itself is not kept.  Immutable after
+    The trace clamps a float copy of the omega it is given, so the caller's
+    array is left as it was; omega itself is not kept.  Immutable after
     construction, so a trace may be shared freely across workers.
     """
 
     def __init__(self, params: FbmParams, omega: np.ndarray):
-        omega = np.asarray(omega, dtype=float)
+        self._clamp(params, np.array(omega, dtype=float))
+
+    @classmethod
+    def _over(cls, params: FbmParams, omega: np.ndarray) -> FbmTrace:
+        """The trace clamped in place over omega, a float array it takes over."""
+        trace = cls.__new__(cls)
+        trace._clamp(params, omega)
+        return trace
+
+    def _clamp(self, params: FbmParams, omega: np.ndarray) -> None:
         if omega.ndim != 1 or omega.shape[0] != params.n_samples:
             raise ValueError(
                 f"omega must have {params.n_samples} samples, got shape {omega.shape}"
@@ -400,11 +416,11 @@ def generate_trace(params: FbmParams) -> FbmTrace:
         b[0] += total
         np.cumsum(b, out=b)
         total = b[-1]
-    return FbmTrace(params, omega)
+    return FbmTrace._over(params, omega)
 
 
 def trace_from_samples(params: FbmParams, omega: np.ndarray) -> FbmTrace:
-    """Wrap a float copy of externally supplied omega samples (e.g. built by
-    hand); the trace clamps its own copy, so the caller's array is left as
-    it was and stays writable."""
-    return FbmTrace(params, np.array(omega, dtype=float))
+    """Wrap externally supplied omega samples (e.g. built by hand); the trace
+    clamps its own copy, so the caller's array is left as it was and stays
+    writable."""
+    return FbmTrace(params, omega)

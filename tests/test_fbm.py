@@ -11,6 +11,7 @@ from scipy import stats
 from abprobe import fbm
 from abprobe.fbm import (
     FbmParams,
+    FbmTrace,
     _next_fast_len,
     fgn_davies_harte,
     generate_trace,
@@ -193,6 +194,18 @@ def test_trace_from_samples_leaves_caller_array_writable():
     w[1] = 5.0  # the trace clamped its own copy
     assert tr.cum_grid.tolist() == [0.0, 0.0, 3.0]
     assert PathModel(10.0, tr).cumulative_cross_bits(1.0) == 0.0
+
+
+def test_trace_constructor_clamps_a_copy():
+    # the caller's array, read-only or not, is neither clamped nor frozen
+    p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
+    for writable in (True, False):
+        w = np.array([0.0, -2.0, 1.0])
+        w.flags.writeable = writable
+        tr = FbmTrace(p, w)
+        assert w.tolist() == [0.0, -2.0, 1.0] and w.flags.writeable == writable
+        assert tr.cum_grid.tolist() == [0.0, 0.0, 3.0]
+        assert FbmTrace(p, tr.cum_grid).cum_grid.tolist() == [0.0, 1.0, 5.0]
 
 
 def test_cumulative_nondecreasing_and_rate_nonnegative():
@@ -433,7 +446,7 @@ def test_irfft_output_in_its_own_buffer(monkeypatch, block, half, lead, count):
     rng = np.random.default_rng(half + count)
     spec = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
     want = np.fft.irfft(spec, n=2 * half)[:count]
-    x = fbm._irfft(packed(spec), lead, count)
+    x = fbm._irfft(packed, (spec,), lead, count)
     assert_owns_its_bytes(x, lead + count)
     assert np.all(x[:lead] == 0.0)
     assert np.abs(x[lead:] - want).max() <= OMEGA_RTOL * np.abs(want).max()
@@ -442,9 +455,28 @@ def test_irfft_output_in_its_own_buffer(monkeypatch, block, half, lead, count):
 def test_irfft_refuses_a_buffer_held_elsewhere():
     # the shrink is in place or not at all: a second reference raises
     # instead of leaving a copy beside the full buffer
-    buf = packed(np.arange(9.0) + 0j)
+    held = []
+
+    def build(spec):
+        held.append(packed(spec))
+        return held[-1]
+
     with pytest.raises(ValueError, match="resize"):
-        fbm._irfft(buf, 0, 9)
+        fbm._irfft(build, (np.arange(9.0) + 0j,), 0, 9)
+
+
+def test_trace_built_through_wrapped_calls(monkeypatch):
+    # the buffer is built inside _irfft, so wrappers that hold their
+    # arguments (a decorator, a tracer, a frame evaluator) do not block the
+    # in-place shrink
+    p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    want = generate_trace(p).cum_grid
+    for name in ("_irfft", "_fgn"):
+        inner = getattr(fbm, name)
+        monkeypatch.setattr(fbm, name, lambda *args, inner=inner: inner(*args))
+    fbm._SCALE_CACHE.clear()  # the eigenvalues take the wrapped path too
+    assert np.array_equal(generate_trace(p).cum_grid, want)
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -462,6 +494,10 @@ def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, exact):
         assert np.array_equal(tr.cum_grid, ref.cum_grid)
         assert tr.clamp_fraction == ref.clamp_fraction
         assert_owns_its_bytes(tr.cum_grid, n)
+        # omega itself, before the clamp hides it where the clamp binds
+        with monkeypatch.context() as m:
+            m.setattr(fbm.FbmTrace, "_over", lambda params, omega: omega.copy())
+            assert np.array_equal(generate_trace(p), omega_of(p))
 
 
 @pytest.mark.parametrize("length", [1, 2, 97, 18000])
