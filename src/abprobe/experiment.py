@@ -59,7 +59,7 @@ COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 # peak bytes per circulant-embedding point of a run: trace synthesis holds
 # the half-length FFT buffer, which the normals are drawn into and the
 # samples stay in, and the cached scale (peak RSS rise over the embedding
-# length on the 3.3 M- and 10 M-sample runs: 14.1 and 12.9 B)
+# length on the 3.3 M- and 10 M-sample runs: 13.7 and 12.8 B)
 PEAK_BYTES_PER_POINT = 15
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts

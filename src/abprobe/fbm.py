@@ -12,12 +12,14 @@ transform serves both the embedding's eigenvalues and the synthesis: a
 length-m/2 complex one plus an O(m) pre-pass that pairs bin k with bin
 m/2-k, in place by a four-step FFT (Bailey 1990) over numpy's batched
 transforms, whose only scratch is one lane of the transform grid.  The
-synthesis draws its normals straight into that one buffer, its output is
-put in order inside the buffer, which then shrinks in place to the trace's
-samples, and omega's running sum and the clamp are built over those same
-samples.  So every phase peaks at about 12 B per embedding point.  The
-normal draw, the pre-pass, the output moves, the running sum and the clamp
-build each run in blocks of _BLOCK points.
+spectrum is laid out in the order that transform reads, so it leaves its
+output in natural order.  The synthesis draws its normals straight into
+that one buffer, which then shrinks in place to the trace's samples, and
+omega's running sum and the clamp are built over those same samples.  So
+every phase peaks at about 12 B per embedding point.  The normal draw, the
+covariance build, the pre-pass, the lead shift, the running sum and the
+clamp build each run in blocks of about _BLOCK points, the pre-pass in at
+least one grid row.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "FbmTrace",
     "fgn_davies_harte",
     "generate_trace",
-    "trace_from_samples",
 ]
 
 
@@ -112,19 +113,37 @@ def _normal_spectrum(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
     packed spectrum of the half length L."""
     half = len(scale) - 1
     buf = np.empty(2 * half)
-    _scaled_normals(rng, scale[:half], buf[0::2])
-    buf[1] = rng.standard_normal() * scale[half]
-    _scaled_normals(rng, scale[1:half], buf[3::2])
+    re, im = _bin_views(buf)
+    _scaled_normals(rng, scale[:half], re, 0)
+    nyquist = rng.standard_normal() * scale[half]
+    _scaled_normals(rng, scale[:half], im, 1)
+    buf[1] = nyquist  # bin 0's imaginary slot
     return buf
 
 
-def _scaled_normals(rng: np.random.Generator, scale: np.ndarray, out: np.ndarray) -> None:
-    """out = scale * len(out) standard normals, drawn _BLOCK at a time (the
-    same stream as one draw); out may be strided."""
-    z = np.empty(min(_BLOCK, len(out)))
-    for s in range(0, len(out), _BLOCK):
-        e = min(s + _BLOCK, len(out))
-        np.multiply(rng.standard_normal(out=z[: e - s]), scale[s:e], out=out[s:e])
+def _bin_views(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and the imaginary slots of _irfft's packed spectrum as
+    (L2, L1) views whose row-major order is bin order."""
+    re, im = buf.reshape(*_grid_shape(len(buf) // 2), 2).T
+    return re, im
+
+
+def _scaled_normals(
+    rng: np.random.Generator, scale: np.ndarray, out: np.ndarray, start: int
+) -> None:
+    """Bins start.. of out, an (rows, width) view in bin order, = scale times
+    standard normals, drawn a block of rows at a time (the same stream as
+    one draw); the bins before start take unset values."""
+    width = out.shape[1]
+    step = max(1, _BLOCK // width)
+    z = np.empty((min(step, len(out)), width))
+    for a in range(0, len(out), step):
+        b = z[: min(step, len(out) - a)]
+        flat = b.reshape(-1)[start:]
+        rng.standard_normal(out=flat)
+        flat *= scale[a * width + start : (a + len(b)) * width]
+        out[a : a + len(b)] = b
+        start = 0
 
 
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
@@ -147,18 +166,23 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
 
 def _covariance_spectrum(half: int, hurst: float) -> np.ndarray:
     """The fGn autocovariance gamma(0..half) as _irfft's packed spectrum."""
-    # q[k] = k^2H once; gamma(k) = 0.5*((q[k+1] - 2q[k]) + q[|k-1|]), written
-    # straight into the real slots (a separate gamma array, freed after q,
-    # would stay in the malloc heap through the synthesis)
-    q = np.arange(half + 2, dtype=float) ** (2.0 * hurst)
+    # q[k] = |k-1|^2H once; gamma(k) = 0.5*((q[k+2] - 2q[k+1]) + q[k]),
+    # written a block of rows at a time into the real slots
+    q = np.arange(-1.0, half + 2)
+    q[0] = 1.0
+    q **= 2.0 * hurst
     buf = np.zeros(2 * half)
-    gamma = buf[0::2]
-    np.multiply(q[:half], 2.0, out=gamma)
-    np.subtract(q[1 : half + 1], gamma, out=gamma)
-    gamma[0] += q[1]
-    gamma[1:] += q[: half - 1]
-    gamma *= 0.5
-    buf[1] = 0.5 * ((q[half + 1] - 2.0 * q[half]) + q[half - 1])
+    re = _bin_views(buf)[0]
+    width = re.shape[1]
+    step = max(1, _BLOCK // width)
+    for a in range(0, len(re), step):
+        s, e = a * width, min(a + step, len(re)) * width
+        g = np.multiply(q[s + 1 : e + 1], 2.0)
+        np.subtract(q[s + 2 : e + 2], g, out=g)
+        g += q[s:e]
+        g *= 0.5
+        re[a : a + step] = g.reshape(-1, width)
+    buf[1] = 0.5 * ((q[half + 2] - 2.0 * q[half + 1]) + q[half])
     return buf
 
 
@@ -170,101 +194,69 @@ def _irfft(
     lead + count floats.
 
     The buffer (float, length m, owning its data) packs the spectrum X[0..L],
-    L = m/2: bins 0..L-1 as complex pairs, with the real bin L in the slot
-    of bin 0's imaginary part, which irfft ignores.  It is built here, so
-    that this call holds its only reference on any interpreter; the in-place
-    shrink raises ValueError if build kept another.
+    L = m/2, in the order the four-step transform reads it: bin k, a complex
+    pair, at grid[k % L1, k // L1] of the (L1, L2) grid over the buffer,
+    with the real bin L in the slot of bin 0's imaginary part, which irfft
+    ignores.  The transform then leaves its output in natural order at the
+    front of the buffer, so only the lead shift moves it.  The buffer is
+    built here, so that this call holds its only reference on any
+    interpreter; the in-place shrink raises ValueError if build kept another.
 
     y = ifft(C), C[k] = W + g_k*(X[k] - W) with W = conj X[L-k] and
     g_k = 1/2 + h_k, h_k = i*e^(i*pi*k/L)/2, is y[j] = x[2j] + i*x[2j+1].
     """
     buf = build(*args)
-    _prepass(buf.view(complex))
-    l1, l2 = _grid_shape(len(buf) // 2)
-    _fft_inplace(buf.view(complex).reshape(l1, l2))
-    _natural_order(buf, l1, lead, count)
+    grid = buf.view(complex).reshape(_grid_shape(len(buf) // 2))
+    _prepass(grid)
+    _fft_inplace(grid)
+    del grid  # the shrink refuses a buffer that a view still holds
+    if lead:
+        for e in range(count, 0, -_BLOCK):
+            s = max(0, e - _BLOCK)
+            buf[s + lead : e + lead] = buf[s:e]
     buf[:lead] = 0.0
     buf.resize(lead + count)
     return buf
 
 
-def _prepass(spec: np.ndarray) -> None:
-    """C from the packed X, in place, pairing bin k with bin L-k: with
-    E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
-    g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).  Bin 0 pairs with
-    the real bin L, and for even L the bin L/2 pairs with itself."""
-    half = len(spec)
-    x0, nyquist = spec[0].real, spec[0].imag
-    spec[0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
-    mid = half // 2
-    h = 0.5j * _roots(np.arange(min(_BLOCK, mid)), 2 * half)
+def _prepass(grid: np.ndarray) -> None:
+    """C from the packed X, in place on the grid, pairing bin k with bin L-k:
+    with E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
+    g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).
+
+    Row 0 holds the bins c*L1: column c pairs with column L2-c, and bin 0
+    with the real bin L.  Row r > 0 pairs (r, c) with (L1-r, L2-1-c), a
+    block of whole rows r <= L1/2 at a time.  The bin L/2 of an even L
+    pairs with itself."""
+    l1, l2 = grid.shape
+    order = 2 * l1 * l2
+    row = grid[0]
+    x0, nyquist = row[0].real, row[0].imag
+    row[0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
+    mid = l2 // 2
     for s in range(1, mid + 1, _BLOCK):
         e = min(s + _BLOCK, mid + 1)
-        lo = spec[s:e]  # X[k], k = s..e-1
-        hi = spec[half - e + 1 : half - s + 1][::-1]  # X[L-k]
-        w = np.conjugate(hi)
-        g = h[: e - s] * _roots(s, 2 * half)
-        g += 0.5
-        g *= lo - w
-        np.add(w, g, out=w)  # C[k]
-        np.subtract(lo, g, out=g)
-        np.conjugate(g, out=hi)  # C[L-k]
-        lo[...] = w
+        _pair(row[s:e], row[l2 - e + 1 : l2 - s + 1][::-1], _roots(l1 * np.arange(s, e), order))
+    mid = l1 // 2
+    step = max(1, _BLOCK // l2)
+    for a in range(1, mid + 1, step):
+        b = min(a + step, mid + 1)
+        roots = _roots(np.arange(a, b), order)[:, None] * _roots(l1 * np.arange(l2), order)
+        _pair(grid[a:b], grid[l1 - b + 1 : l1 - a + 1][::-1, ::-1], roots)
 
 
-def _natural_order(buf: np.ndarray, l1: int, lead: int, count: int) -> None:
-    """Move x[0..count) from the transform's output, y in natural order along
-    the columns of the (l1, L/l1) grid in buf, to buf[lead : lead + count].
-
-    y[0..need) fills the first nc columns; the others are free.  A run of
-    whole free rows at a time, y is copied in natural order into the free
-    slots, row-major (their memory order); then each run is moved down to
-    the front, in the same order, so no move overwrites a slot still to be
-    read.  What the free slots cannot hold, at most l1 + 1 points, waits in
-    a side block; so does an output of at most _BLOCK points, whole.  A
-    one-lane grid (a prime L) is in order already and is shifted by lead, a
-    block at a time from the end.
-    """
-    if l1 == 1:
-        if lead:
-            for e in range(count, 0, -_BLOCK):
-                s = max(0, e - _BLOCK)
-                buf[s + lead : e + lead] = buf[s:e]
-        return
-    grid = buf.view(complex).reshape(l1, -1)
-    need = -(-count // 2)
-    if need <= _BLOCK:
-        buf[lead : lead + 2 * need] = _column_run(grid, 0, need).copy().view(float)
-        return
-    nc = -(-need // l1)
-    free = grid[:, nc:]
-    width = free.shape[1]
-    room = min(need, width * l1)
-    side = _column_run(grid, room, need).copy()
-    # runs of whole free rows, about _BLOCK slots each: (first slot, first
-    # row, whole rows, slots in a last partial row); room is 0 where width is
-    step = width * max(1, _BLOCK // max(width, 1))
-    runs = [(k, k // width, *divmod(min(step, room - k), width)) for k in range(0, room, step or 1)]
-    for k, r, full, rest in runs:
-        y = _column_run(grid, k, k + full * width + rest)
-        free[r : r + full] = y[: full * width].reshape(full, width)
-        if rest:
-            free[r + full, :rest] = y[full * width :]
-    rows = free.view(float)
-    for k, r, full, rest in runs:
-        out = buf[lead + 2 * k : lead + 2 * (k + full * width + rest)]
-        out[: 2 * full * width].reshape(full, 2 * width)[...] = rows[r : r + full]
-        if rest:
-            out[2 * full * width :] = rows[r + full, : 2 * rest]
-    buf[lead + 2 * room : lead + 2 * need] = side.view(float)
-
-
-def _column_run(grid: np.ndarray, k0: int, k1: int) -> np.ndarray:
-    """y[k0:k1] in natural order from the columns of the transform grid; a
-    copy, or a view where it lies in one column."""
-    l1 = grid.shape[0]
-    c0 = k0 // l1
-    return grid[:, c0 : -(-k1 // l1)].T.reshape(-1)[k0 - c0 * l1 : k1 - c0 * l1]
+def _pair(lo: np.ndarray, hi: np.ndarray, roots: np.ndarray) -> None:
+    """lo = X[k] and hi = X[L-k] become C[k] and C[L-k], where roots holds
+    e^(i*pi*k/L).  Where a bin is its own partner, both writes are C[k]
+    and the one to lo, made last, stands."""
+    w = np.conjugate(hi)
+    g = roots * 0.5j
+    g += 0.5
+    g *= lo - w
+    np.add(w, g, out=w)  # C[k]
+    np.subtract(lo, g, out=g)
+    np.conjugate(g, out=hi)  # C[L-k]
+    lo[...] = w
 
 
 def _grid_shape(length: int) -> tuple[int, int]:
@@ -275,13 +267,13 @@ def _grid_shape(length: int) -> tuple[int, int]:
     return l1, length // l1
 
 
-def _roots(k: np.ndarray | int, order: int) -> np.ndarray | complex:
-    """exp(2i*pi*k/order) for integer k, reduced mod order before scaling."""
-    return np.exp(2j * np.pi / order * (k % order))
+def _roots(k: np.ndarray, order: int) -> np.ndarray:
+    """exp(2i*pi*k/order) for integers 0 <= k < order."""
+    return np.exp(2j * np.pi / order * k)
 
 
-# points per block of the normal draw, _irfft's passes, the running sum and
-# the clamp build
+# points per block of the normal draw, the covariance build, _irfft's
+# passes, the running sum and the clamp build
 _BLOCK = 1 << 16
 
 
@@ -289,24 +281,25 @@ def _fft_inplace(grid: np.ndarray) -> None:
     """In-place inverse complex DFT (numpy's ifft) of length L = L1*L2 on a
     C-contiguous (L1, L2) grid.
 
-    Four-step (Bailey 1990): transform along one axis, twiddle, transform
-    along the other.  numpy transforms a batch one lane at a time, so the only
-    scratch is one lane.  It reads the input in natural order in
-    grid.reshape(-1) and leaves the output in natural order along grid.T.
-    With L1 = 1 (a prime L) the grid is one lane.
+    Four-step (Bailey 1990): transform along the rows, twiddle, transform
+    along the columns.  numpy transforms a batch one lane at a time, so the
+    only scratch is one lane.  It reads the input in natural order along
+    grid.T, input k at grid[k % L1, k // L1], and leaves the output in
+    natural order in grid.reshape(-1).  With L1 = 1 (a prime L) the grid
+    is one lane.
     """
     l1, l2 = grid.shape
-    np.fft.ifft(grid, axis=0, out=grid)
-    # grid[j1, k2] *= e^(2i*pi*j1*k2/L), `step` rows at a time: row a + r
-    # takes table[r] * e^(2i*pi*a*k2/L); a single row needs none
+    np.fft.ifft(grid, axis=1, out=grid)
+    # grid[k1, j2] *= e^(2i*pi*k1*j2/L), `step` rows at a time: row a + r
+    # takes table[r] * e^(2i*pi*a*j2/L); a single row needs none
     if l1 > 1:
         step = math.isqrt(l1)
-        k2 = np.arange(l2)
-        table = _roots(np.multiply.outer(np.arange(step), k2), l1 * l2)
+        j2 = np.arange(l2)
+        table = _roots(np.multiply.outer(np.arange(step), j2), l1 * l2)
         for a in range(0, l1, step):
             rows = grid[a : a + step]
-            rows *= table[: len(rows)] * _roots(a * k2, l1 * l2)
-    np.fft.ifft(grid, axis=1, out=grid)
+            rows *= table[: len(rows)] * _roots(a * j2, l1 * l2)
+    np.fft.ifft(grid, axis=0, out=grid)
 
 
 @dataclass(frozen=True)
@@ -418,9 +411,3 @@ def generate_trace(params: FbmParams) -> FbmTrace:
         total = b[-1]
     return FbmTrace._over(params, omega)
 
-
-def trace_from_samples(params: FbmParams, omega: np.ndarray) -> FbmTrace:
-    """Wrap externally supplied omega samples (e.g. built by hand); the trace
-    clamps its own copy, so the caller's array is left as it was and stays
-    writable."""
-    return FbmTrace(params, omega)

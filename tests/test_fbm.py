@@ -15,7 +15,6 @@ from abprobe.fbm import (
     _next_fast_len,
     fgn_davies_harte,
     generate_trace,
-    trace_from_samples,
 )
 from abprobe.path import PathModel
 
@@ -31,6 +30,20 @@ def omega_of(params):
     (the trace keeps only the grid), bit for bit."""
     incr = fgn_davies_harte(params.n_samples - 1, params.hurst, np.random.default_rng(params.seed))
     return np.concatenate([[0.0], np.cumsum(incr * params.dt**params.hurst)])
+
+
+@pytest.fixture
+def set_block(monkeypatch):
+    """set_block(points) sets fbm._BLOCK for one test.  The spectral scales
+    cached before and during the test are dropped, so that no scale built
+    at another block size (different in the last bits) crosses tests."""
+
+    def set_block(points):
+        monkeypatch.setattr(fbm, "_BLOCK", points)
+        fbm._SCALE_CACHE.clear()
+
+    yield set_block
+    fbm._SCALE_CACHE.clear()
 
 
 def assert_owns_its_bytes(x, size):
@@ -73,7 +86,7 @@ def test_trace_deterministic_under_seed():
     assert np.array_equal(omega_of(p), omega_of(p))
     assert np.array_equal(a.cum_grid, b.cum_grid)
     # rebuilt from its omega samples, a trace has the same clamped volume
-    assert np.array_equal(trace_from_samples(p, omega_of(p)).cum_grid, a.cum_grid)
+    assert np.array_equal(FbmTrace(p, omega_of(p)).cum_grid, a.cum_grid)
 
 
 def test_different_seeds_differ():
@@ -176,7 +189,7 @@ def test_cumulative_bits_deterministic_fluid():
 def test_monotone_clamp_by_hand():
     # mu=1, sigma=1, omega(1) = -2: raw b(1) = -1 -> clamped to 0
     p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
-    tr = trace_from_samples(p, np.array([0.0, -2.0, 1.0]))
+    tr = FbmTrace(p, np.array([0.0, -2.0, 1.0]))
     path = PathModel(10.0, tr)
     assert path.cumulative_cross_bits(1.0) == 0.0
     assert path.cumulative_cross_bits(0.5) == 0.0  # between two clamped grid points of 0
@@ -186,9 +199,10 @@ def test_monotone_clamp_by_hand():
 
 
 def test_trace_from_samples_leaves_caller_array_writable():
+    # a trace built from the caller's samples (e.g. a re-imported trace CSV)
     p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
     w = np.array([0.0, -2.0, 1.0])
-    tr = trace_from_samples(p, w)
+    tr = FbmTrace(p, w)
     assert w.flags.writeable and w.tolist() == [0.0, -2.0, 1.0]
     assert not tr.cum_grid.flags.writeable
     w[1] = 5.0  # the trace clamped its own copy
@@ -374,16 +388,17 @@ def test_prime_fallback_synthesis_matches_reference(monkeypatch, n):
 
 @pytest.mark.parametrize("block", [3, 4])
 @pytest.mark.parametrize("half", [10, 12, 13, 15, 16])
-def test_blocked_passes_match_reference(monkeypatch, block, half):
-    # The embedding m = 2*half exactly, with 3 or 4 points per block: the
-    # normals are drawn in chunks across the re/im split, bin 0 pairs with
+def test_blocked_passes_match_reference(monkeypatch, set_block, block, half):
+    # The embedding m = 2*half exactly, with 3 or 4 points per block, on
+    # 2 x 5, 3 x 4, 1 x 13, 3 x 5 and 4 x 4 grids: the normals are drawn in
+    # blocks of whole grid columns across the re/im split, bin 0 pairs with
     # the real bin half, an even half pairs bin half/2 with itself, and the
-    # pre-pass's last block, whose bins reach the midpoint from below while
-    # their partners reach it from above, is full for some halves and
-    # partial for others (as is the last block of the output gather).
-    monkeypatch.setattr(fbm, "_BLOCK", block)
+    # pre-pass's last block on row 0, whose bins reach the midpoint from
+    # below while their partners reach it from above, is full for some
+    # halves and partial for others; a middle row of an even L1 pairs with
+    # itself.
+    set_block(block)
     monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     ref = reference_eigenvalues(0.7, 2 * half)
     lam = fbm._embedding_eigenvalues(half, 0.7)
     assert_owns_its_bytes(lam, half + 1)
@@ -394,12 +409,12 @@ def test_blocked_passes_match_reference(monkeypatch, block, half):
     assert np.abs(x - want).max() <= OMEGA_RTOL * np.abs(want).max()
 
 
-def test_blocked_clamp_build_equals_whole_array_formula(monkeypatch):
+def test_blocked_clamp_build_equals_whole_array_formula(set_block):
     # bit for bit, with the running clamp carried across blocks of 4 points
-    monkeypatch.setattr(fbm, "_BLOCK", 4)
+    set_block(4)
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
     omega = omega_of(p)
-    tr = trace_from_samples(p, omega)
+    tr = FbmTrace(p, omega)
     raw = np.arange(p.n_samples, dtype=float)
     raw *= p.dt
     raw *= p.mu
@@ -414,35 +429,49 @@ def test_blocked_clamp_build_equals_whole_array_formula(monkeypatch):
 # -- the output in the transform's own buffer -----------------------------------
 
 def packed(spec):
-    """_irfft's packed spectrum of X[0..L]: bins 0..L-1 as complex pairs, the
-    real bin L in bin 0's imaginary slot."""
+    """_irfft's packed spectrum of X[0..L]: bin k, a complex pair, at
+    grid[k % L1, k // L1] of the (L1, L2) grid over the buffer, the real
+    bin L in bin 0's imaginary slot."""
     half = len(spec) - 1
+    l1, l2 = fbm._grid_shape(half)
     buf = np.empty(2 * half)
-    buf[0::2] = spec[:half].real
-    buf[1::2] = spec[:half].imag
+    slots = buf.reshape(l1, l2, 2)
+    slots[:, :, 0] = spec[:half].real.reshape(l2, l1).T
+    slots[:, :, 1] = spec[:half].imag.reshape(l2, l1).T
     buf[1] = spec[half].real
     return buf
 
 
-@pytest.mark.parametrize("block", [4, 1 << 16])
+@pytest.mark.parametrize("block", [4, 1000, 1 << 16])
 @pytest.mark.parametrize(
     "half, lead, count",
     [
-        (16, 1, 9),  # 4 x 4 grid, room in the free columns
-        (18000, 1, 17000),  # 120 x 150, room, many runs of rows at block 4
-        (15, 1, 15),  # m = 2n on 3 x 5: two points in the side block
-        (1005, 1, 1005),  # m = 2n on 15 x 67: eight in the side block
-        (1000, 1, 1000),  # m = 2n on 25 x 40: the free columns just hold it
-        (13, 1, 13),  # prime L: one lane, only the lead shift
-        (1009, 1, 1009),
-        (16, 0, 17),  # the eigenvalues' L + 1 outputs: l1 + 1 in the side block
+        (16, 1, 9),  # 4 x 4: L1 and L2 even
+        (16, 0, 17),
+        (15, 1, 15),  # 3 x 5: both odd
+        (15, 0, 16),
+        (6, 1, 6),  # 2 x 3: L1 even, L2 odd, so bin L/2 off row 0
+        (6, 0, 7),
+        (18, 1, 18),  # 3 x 6: L1 odd, L2 even
+        (18, 0, 19),
+        (4, 0, 5),  # 2 x 2
+        (1000, 1, 1000),  # 25 x 40
         (1000, 0, 1001),
+        (1005, 1, 1005),  # 15 x 67
+        (16200, 1, 16200),  # 120 x 135: at block 1000, the pre-pass pairs 7 rows at a time
+        (16200, 0, 16201),
+        (18000, 1, 17000),  # 125 x 144
+        (18000, 0, 18001),
+        (13, 1, 13),  # prime L: one lane, L1 = 1
         (13, 0, 14),
-        (4, 0, 5),  # 2 x 2: no free column at all
+        (1009, 1, 1009),
+        (1009, 0, 1010),
+        (1, 1, 1),  # L = 1: bin 0 and the real bin 1 only
+        (1, 0, 2),
     ],
 )
-def test_irfft_output_in_its_own_buffer(monkeypatch, block, half, lead, count):
-    monkeypatch.setattr(fbm, "_BLOCK", block)
+def test_irfft_output_in_its_own_buffer(set_block, block, half, lead, count):
+    set_block(block)
     rng = np.random.default_rng(half + count)
     spec = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
     want = np.fft.irfft(spec, n=2 * half)[:count]
@@ -480,17 +509,16 @@ def test_trace_built_through_wrapped_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("exact", [False, True])
-def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, exact):
+def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, set_block, exact):
     # bit for bit, in blocks of 4 points: the running sum and the clamp over
     # the synthesis's own array against the clamp of a copy of omega
-    monkeypatch.setattr(fbm, "_BLOCK", 4)
+    set_block(4)
     if exact:
         monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     for n in (2, 3, 9, 14, 16, 201):
         p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=0.1 * (n - 1), seed=n)
         tr = generate_trace(p)
-        ref = trace_from_samples(p, omega_of(p))
+        ref = FbmTrace(p, omega_of(p))
         assert np.array_equal(tr.cum_grid, ref.cum_grid)
         assert tr.clamp_fraction == ref.clamp_fraction
         assert_owns_its_bytes(tr.cum_grid, n)
@@ -502,17 +530,18 @@ def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, exact):
 
 @pytest.mark.parametrize("length", [1, 2, 97, 18000])
 def test_fft_inplace_matches_numpy(length):
-    # the input in natural order in grid.reshape(-1), the output along grid.T
+    # the input in natural order along grid.T, the output in grid.reshape(-1)
     rng = np.random.default_rng(length)
     x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    grid = x.reshape(fbm._grid_shape(length)).copy()
+    l1, l2 = fbm._grid_shape(length)
+    grid = x.reshape(l2, l1).T.copy()
     fbm._fft_inplace(grid)
     ref = np.fft.ifft(x)
-    assert np.abs(grid.T.reshape(-1) - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.abs(grid.reshape(-1) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_trace_build_peak_memory_per_sample():
-    # Measured: ~28.8 B per sample, i.e. the half-length FFT buffer the
+    # Measured: ~28.9 B per sample, i.e. the half-length FFT buffer the
     # normals are drawn into (8 B) and the cached scale (4 B) per embedding
     # point at m = 2n, plus ~5 B for the pre-pass blocks.  The FFT works
     # inside that buffer with one lane of scratch and the samples stay in it,
@@ -532,7 +561,7 @@ def test_trace_build_peak_memory_per_sample():
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_trace_build_peak_rss_per_embedding_point():
     # Peak RSS rise of one cold trace build in a fresh process, over its
-    # embedding length: ~15.0 B per point measured (12 B for the buffer and
+    # embedding length: ~14.7 B per point measured (12 B for the buffer and
     # the scale, the rest the pre-pass blocks).  A length-m numpy irfft
     # needs ~24 B per point of output and working memory on its own (~37 B
     # for the whole build), which tracemalloc does not see.  The child reads

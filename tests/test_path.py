@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abprobe.fbm import FbmParams, generate_trace, trace_from_samples
+from abprobe.fbm import FbmParams, FbmTrace, generate_trace
 from abprobe.path import (
     RATE_CEILING,
     HopWorkload,
