@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, normalized_mse
-from .fbm import FbmParams, FbmTrace, _next_fast_len, generate_trace
+from .fbm import FbmParams, FbmTrace, generate_trace, peak_bytes
 from .kalman import GATE_THRESHOLD_DEFAULT, FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
 from .probing import (
@@ -55,12 +55,6 @@ ESTIMATE_HEADER = [
 EVENT_HEADER = ["seq_id", "pkt_idx", "portion", "send_t", "arrive_t", "depart_t"]
 SWEEP_HEADER = ["M", "P", "C", "S", "H", "lambda", "seed", "xi_sim", "xi_analytic", "xi_empirical"]
 COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
-
-# peak bytes per circulant-embedding point of a run: trace synthesis holds
-# the half-length FFT buffer, which the normals are drawn into and the
-# samples stay in, and the cached scale (peak RSS rise over the embedding
-# length on the 3.3 M- and 10 M-sample runs: 13.7 and 12.8 B)
-PEAK_BYTES_PER_POINT = 15
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -125,11 +119,9 @@ class RunConfig:
     reset_queue: bool = False
     dt: float | None = None
 
-    def finalize(self, *, trace: bool = True) -> "RunConfig":
+    def finalize(self) -> "RunConfig":
         """Fill derived defaults and cross-validate; raises ValueError with an
-        actionable message on any inconsistency.  With trace=False (model
-        evaluation, which synthesizes no traffic) the trace's estimated peak
-        memory is not checked."""
+        actionable message on any inconsistency."""
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None and f.type.endswith("| None"):
@@ -173,9 +165,7 @@ class RunConfig:
             raise ValueError(
                 f"trace grid dt={dt} must be finer than the inter-sequence gap"
             )
-        n = cfg.fbm_params().n_samples  # validates hurst/sigma/mu/dt/horizon
-        if trace:
-            _check_memory(PEAK_BYTES_PER_POINT * cfg.embedding_len, f"the {n}-sample traffic trace")
+        cfg.fbm_params()  # validates hurst/sigma/mu/dt/horizon
         return cfg
 
     # -- derived views ----------------------------------------------------
@@ -183,11 +173,6 @@ class RunConfig:
     @property
     def horizon(self) -> float:
         return (self.sequences + 1) * SEQUENCE_GAP
-
-    @property
-    def embedding_len(self) -> int:
-        """The trace synthesis's padded circulant-embedding length."""
-        return _next_fast_len(2 * (self.fbm_params().n_samples - 1))
 
     def sequence_config(self) -> SequenceConfig:
         return SequenceConfig(
@@ -293,6 +278,8 @@ def run(
     cfg = config.finalize()
     params = cfg.fbm_params()
     if trace is None:
+        n = params.n_samples
+        _check_memory(peak_bytes([(n, params.hurst)]), f"the {n}-sample traffic trace")
         trace = generate_trace(params)
     elif trace.params != params:
         raise ValueError(
@@ -345,11 +332,9 @@ def _write_event_log(path, sched: ProbeSchedule, dep: np.ndarray) -> None:
     packet = [f",{i},{p}," for i, p in enumerate(portion)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(EVENT_HEADER) + "\n")
-        for k, (send_row, dep_row) in enumerate(zip(sched.send_times.tolist(), dep.tolist())):
-            sent = [f"{t:.12g}" for t in send_row]
-            fh.write(
-                "".join([f"{k}{i_p}{t},{t},{d:.12g}\n" for i_p, t, d in zip(packet, sent, dep_row)])
-            )
+        for k, (send_row, dep_row) in enumerate(zip(sched.send_times, dep)):
+            rows = zip(packet, map("{:.12g}".format, send_row.tolist()), dep_row.tolist())
+            fh.write("".join([f"{k}{i_p}{t},{t},{d:.12g}\n" for i_p, t, d in rows]))
 
 
 # -- seed ensembles ------------------------------------------------------
@@ -397,13 +382,11 @@ def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[
     if not seeds:
         raise ValueError("an ensemble needs at least one seed")
     cfgs = [replace(base, **v).finalize() for v in variants]
-    # a worker synthesizes one trace at a time, but fbm keeps the spectral
-    # scales (4 B per embedding point) of up to three other (n, H) pairs;
-    # each worker process holds its own trace and scales
-    lens = sorted({(c.fbm_params().n_samples, c.hurst): c.embedding_len for c in cfgs}.values())
+    # each worker process synthesizes its seeds' traces one after another
+    traces = {(c.fbm_params().n_samples, c.hurst) for c in cfgs}
     workers = _pool_size(max_workers, len(seeds))
-    peak = workers * (PEAK_BYTES_PER_POINT * lens[-1] + 4 * sum(lens[-4:-1]))
-    _check_memory(peak, f"the ensemble of {len(lens)} traffic traces on {workers} worker(s)")
+    what = f"the ensemble of {len(traces)} traffic traces on {workers} worker(s)"
+    _check_memory(workers * peak_bytes(traces), what)
     by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
     rows = []
     for idx, cfg in enumerate(cfgs):
@@ -514,7 +497,7 @@ def compare_bart(
 
 def model_grid_rows(base: RunConfig, packets, portions) -> list[dict]:
     """Analytic and fitted-model error over an (M, P) grid at the base scenario."""
-    cfg_probe = replace(base, packets=max(packets), portions=min(portions)).finalize(trace=False)
+    cfg_probe = replace(base, packets=max(packets), portions=min(portions)).finalize()
     return [
         {"M": m, "P": p, "C": cfg_probe.capacity,
          **_model_xi(replace(cfg_probe, packets=m, portions=p))}

@@ -25,7 +25,8 @@ least one grid row.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "FbmTrace",
     "fgn_davies_harte",
     "generate_trace",
+    "peak_bytes",
 ]
 
 
@@ -68,11 +70,8 @@ def fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarr
     embedding is tried.  Tiny negative eigenvalues are clipped; if both
     embeddings round to indefinite, ValueError (the CLI exits 2).
 
-    The eigenvalues and the synthesis share one transform, _irfft, in place
-    on one buffer of m/2 complex points.  The m normals are drawn, scaled,
-    straight into that buffer, so the synthesis peaks at about 12 B per
-    embedding point (the buffer and the cached scale), and the increments
-    are returned in the buffer itself, shrunk to their n floats.
+    The increments are returned in the transform's own buffer, shrunk to
+    their n floats; peak_bytes states the memory a synthesis needs.
     """
     return _fgn(n, hurst, rng, 0)
 
@@ -97,7 +96,7 @@ def _fgn(n: int, hurst: float, rng: np.random.Generator, lead: int) -> np.ndarra
         lam *= m
         lam[1 : m // 2] /= 2.0
         scale = np.sqrt(lam, out=lam)
-        if len(_SCALE_CACHE) >= 4:
+        if len(_SCALE_CACHE) >= _SCALE_CACHE_SIZE:
             _SCALE_CACHE.pop(next(iter(_SCALE_CACHE)))
         _SCALE_CACHE[key] = scale
     return _irfft(_normal_spectrum, (rng, scale), lead, n)
@@ -105,6 +104,16 @@ def _fgn(n: int, hurst: float, rng: np.random.Generator, lead: int) -> np.ndarra
 
 # spectral scales are a pure function of (n, hurst); reuse across seeds
 _SCALE_CACHE: dict[tuple[int, float], np.ndarray] = {}
+_SCALE_CACHE_SIZE = 4
+
+
+def peak_bytes(traces: Iterable[tuple[int, float]]) -> int:
+    """Peak bytes of synthesizing the (n_samples, hurst) traces one after
+    another in one process: 15 B per point of the largest padded embedding
+    (its buffer and scale; peak RSS rose 13.7 and 12.8 B at 3.3 M and 10 M
+    samples) and 4 B per point of up to _SCALE_CACHE_SIZE - 1 cached others."""
+    lens = sorted(_next_fast_len(2 * (n - 1)) for n, _ in set(traces))
+    return 15 * lens[-1] + 4 * sum(lens[-_SCALE_CACHE_SIZE:-1])
 
 
 def _normal_spectrum(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
@@ -201,6 +210,8 @@ def _irfft(
     front of the buffer, so only the lead shift moves it.  The buffer is
     built here, so that this call holds its only reference on any
     interpreter; the in-place shrink raises ValueError if build kept another.
+    A tracer or profiler holds one more, so while one is active the kept
+    points are copied out.
 
     y = ifft(C), C[k] = W + g_k*(X[k] - W) with W = conj X[L-k] and
     g_k = 1/2 + h_k, h_k = i*e^(i*pi*k/L)/2, is y[j] = x[2j] + i*x[2j+1].
@@ -215,6 +226,8 @@ def _irfft(
             s = max(0, e - _BLOCK)
             buf[s + lead : e + lead] = buf[s:e]
     buf[:lead] = 0.0
+    if sys.gettrace() or sys.getprofile():
+        return buf[: lead + count].copy()
     buf.resize(lead + count)
     return buf
 

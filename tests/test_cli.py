@@ -10,6 +10,7 @@ import pytest
 import abprobe.experiment
 from abprobe.cli import SCENARIO_FLAGS, _scenario, build_parser, main
 from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER, RunConfig
+from abprobe.fbm import peak_bytes
 
 FAST = ["--sequences", "20", "--seed", "3"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -17,6 +18,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def refuse(params):
     raise AssertionError("trace synthesis reached")
+
+
+def trace_key(cfg):
+    """The (n_samples, hurst) of the trace a config's run synthesizes."""
+    params = cfg.finalize().fbm_params()
+    return params.n_samples, params.hurst
 
 
 def read_csv(path):
@@ -117,10 +124,9 @@ def test_ensemble_beyond_physical_memory_exits_2_before_synthesis(tmp_path, caps
     # caches for the others
     monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
     caps = [1e7, 2e7, 3e7]
-    lens = [RunConfig(capacity=c, packet_size=500.0, sequences=300).finalize().embedding_len
-            for c in caps]
-    per_point = abprobe.experiment.PEAK_BYTES_PER_POINT
-    one, ensemble = per_point * max(lens), per_point * lens[2] + 4 * (lens[0] + lens[1])
+    traces = [trace_key(RunConfig(capacity=c, packet_size=500.0, sequences=300)) for c in caps]
+    one, ensemble = peak_bytes(traces[2:]), peak_bytes(traces)
+    assert one < ensemble
     monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", (one + ensemble) // 2)
     out = tmp_path / "x.csv"
     argv = ["sweep", "--capacity", ",".join(map(str, caps)), "--packet-size", "500",
@@ -139,9 +145,8 @@ def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
     monkeypatch.setattr(abprobe.experiment, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(abprobe.experiment.os, "cpu_count", lambda: 2)
-    length = RunConfig(sequences=300).finalize().embedding_len
-    per_point = abprobe.experiment.PEAK_BYTES_PER_POINT
-    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", 3 * per_point * length // 2)
+    one = peak_bytes([trace_key(RunConfig(sequences=300))])
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", 3 * one // 2)
     out = tmp_path / "x.csv"
     argv = ["sweep", "--sequences", "300", "--seeds", "0,1", "--out", str(out)]
     assert main([*argv, "--workers", "2"]) == 2

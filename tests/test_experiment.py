@@ -15,9 +15,13 @@ from abprobe.experiment import (
     run,
     sweep,
 )
-from abprobe.fbm import generate_trace
+from abprobe.fbm import generate_trace, peak_bytes
 from abprobe.path import HopWorkload, PathModel, transit_sequence
 from abprobe.probing import build_schedule, draw_portion_rates
+
+
+def refuse(params):
+    raise AssertionError("trace synthesis reached")
 
 
 def small_config(**kw):
@@ -118,10 +122,27 @@ def test_finalize_rejects_non_finite():
         RunConfig(mu=float("inf")).finalize()
 
 
-def test_finalize_rejects_trace_beyond_physical_memory():
-    # 1 Gb/s for 1e5 sequences: a 3.3e10-sample trace, about 2.4 TB at its FFT
+def test_run_rejects_trace_beyond_physical_memory(monkeypatch):
+    # 1 Gb/s for 1e5 sequences: a 3.3e10-sample trace, about 1 TB at its FFT.
+    # The scenario itself is valid; run rejects the trace before synthesis.
+    monkeypatch.setattr(experiment, "generate_trace", refuse)
+    cfg = RunConfig(capacity=1e9, sequences=100_000)
+    cfg.finalize()
     with pytest.raises(ValueError, match="GiB of physical memory"):
-        RunConfig(capacity=1e9, sequences=100_000).finalize()
+        run(cfg)
+
+
+@pytest.mark.parametrize("variants, want", [
+    ([{}], 100_776_960),  # the default run: 15 B per embedding point
+    ([{"packets": 13, "portions": 3, "packet_size": 500.0}], 302_330_880),
+    ([{"capacity": 1e9, "sequences": 100_000}], 1_006_632_960_000),
+    # the largest trace's 15 B per point plus the others' cached scales
+    ([{"capacity": c, "packet_size": 500.0, "sequences": 300} for c in (1e7, 2e7, 3e7)],
+     346_275_000),
+])
+def test_trace_memory_estimate_in_bytes(variants, want):
+    params = [RunConfig(**v).finalize().fbm_params() for v in variants]
+    assert peak_bytes([(p.n_samples, p.hurst) for p in params]) == want
 
 
 def test_estimate_csv_schema(tmp_path):

@@ -1,3 +1,4 @@
+import cProfile
 import os
 import subprocess
 import sys
@@ -506,6 +507,32 @@ def test_trace_built_through_wrapped_calls(monkeypatch):
         monkeypatch.setattr(fbm, name, lambda *args, inner=inner: inner(*args))
     fbm._SCALE_CACHE.clear()  # the eigenvalues take the wrapped path too
     assert np.array_equal(generate_trace(p).cum_grid, want)
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile", "cProfile"])
+def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
+    # a tracer or profiler holds one more reference to the transform buffer
+    # (the frame's locals, the bound method it reports), which the in-place
+    # shrink refuses; the trace is then built in a copy, the same bit for bit
+    p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    want = generate_trace(p).cum_grid
+    fbm._SCALE_CACHE.clear()  # the eigenvalues are built under the hook too
+    if hook == "cProfile":
+        got = cProfile.Profile().runcall(generate_trace, p).cum_grid
+    else:
+        set_hook, previous = getattr(sys, hook), getattr(sys, "get" + hook[3:])()
+
+        def hook_fn(frame, event, arg):
+            return hook_fn
+
+        set_hook(hook_fn)
+        try:
+            got = generate_trace(p).cum_grid
+        finally:
+            set_hook(previous)
+    assert np.array_equal(got, want)
+    assert_owns_its_bytes(got, p.n_samples)
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from abprobe import path as path_module
 from abprobe.fbm import FbmParams, FbmTrace, generate_trace
 from abprobe.path import (
     RATE_CEILING,
@@ -304,17 +305,21 @@ def test_run_transit_matches_per_packet_reference(case, reset_queue):
 
 @pytest.mark.parametrize("ceiling", [0.5 * C, 0.95 * C, 3.0 * C])
 @pytest.mark.parametrize("horizon", [3e-4, 0.75, 2.0])
-def test_effective_volume_bit_identical_to_reference(ceiling, horizon):
+def test_effective_volume_bit_identical_to_reference(monkeypatch, ceiling, horizon):
     # the same trace against a rate ceiling below, near and far above its
-    # mean rate, each set by the capacity
+    # mean rate, each set by the capacity; the cap is counted and applied
+    # in blocks of the default size and of 4 points
     trace = fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
-    path = make_path(trace, capacity=ceiling / RATE_CEILING)
     dt = trace.params.dt
     inc = np.diff(trace.cum_grid)
-    capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
-    assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
-    assert path.cap_fraction == float(np.mean(capped < inc))
-    assert path.max_fluid_rate == float(capped.max() / dt)
-    assert path.max_fluid_rate < path.capacity
+    for block in (path_module._BLOCK, 4):
+        monkeypatch.setattr(path_module, "_BLOCK", block)
+        path = make_path(trace, capacity=ceiling / RATE_CEILING)
+        capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
+        assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
+        assert path.cap_fraction == float(np.mean(capped < inc))
+        assert type(path.cap_fraction) is float
+        assert path.max_fluid_rate == float(capped.max() / dt)
+        assert path.max_fluid_rate < path.capacity
     if ceiling < C and trace.n > 2:
         assert 0.0 < path.cap_fraction < 1.0  # the cap bites
