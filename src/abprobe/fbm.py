@@ -13,13 +13,21 @@ length-m/2 complex one plus an O(m) pre-pass that pairs bin k with bin
 m/2-k, in place by a four-step FFT (Bailey 1990) over numpy's batched
 transforms, whose only scratch is one lane of the transform grid.  The
 spectrum is laid out in the order that transform reads, so it leaves its
-output in natural order.  The synthesis draws its normals straight into
-that one buffer, which then shrinks in place to the trace's samples, and
-omega's running sum and the clamp are built over those same samples.  So
-every phase peaks at about 12 B per embedding point.  The normal draw, the
-covariance build, the pre-pass, the lead shift, the running sum and the
-clamp build each run in blocks of about _BLOCK points, the pre-pass in at
-least one grid row.
+output in natural order.  Each phase holds only its floor of whole-trace
+arrays, per embedding point:
+
+- the eigenvalues: 8 B, the covariance built in the transform's buffer,
+  which then shrinks in place to the 4 B spectral scale;
+- the synthesis: 12 B, the normals drawn straight into an 8 B buffer beside
+  the cached 4 B scale; the pre-pass, the FFT and the lead shift work in it;
+- the trace: the buffer shrinks in place to the samples (4 B), and omega's
+  running sum and the clamp are built over them.
+
+Beside these, every pass (the normal draw, the covariance build, the
+pre-pass, the twiddle, the running sum, the clamp and the path's volume
+build) works a block of at most _BLOCK points at a time through block
+buffers it makes once per call, so its temporaries are O(_BLOCK) whatever
+the grid's shape: about 1 MiB at the default _BLOCK.
 """
 
 from __future__ import annotations
@@ -110,10 +118,21 @@ _SCALE_CACHE_SIZE = 4
 def peak_bytes(traces: Iterable[tuple[int, float]]) -> int:
     """Peak bytes of synthesizing the (n_samples, hurst) traces one after
     another in one process: 15 B per point of the largest padded embedding
-    (its buffer and scale; peak RSS rose 13.7 and 12.8 B at 3.3 M and 10 M
-    samples) and 4 B per point of up to _SCALE_CACHE_SIZE - 1 cached others."""
+    (its 8 B buffer, its 4 B scale and the block buffers; past numpy's own
+    imports, peak RSS rose 12.2 and 12.1 B at 3.3 M and 10 M samples), 4 B
+    per point more while a tracer or profiler is active, for the copy of
+    the kept points _irfft then makes, and 4 B per point of up to
+    _SCALE_CACHE_SIZE - 1 cached others."""
     lens = sorted(_next_fast_len(2 * (n - 1)) for n, _ in set(traces))
-    return 15 * lens[-1] + 4 * sum(lens[-_SCALE_CACHE_SIZE:-1])
+    per_point = 19 if _traced() else 15
+    return per_point * lens[-1] + 4 * sum(lens[-_SCALE_CACHE_SIZE:-1])
+
+
+def _traced() -> bool:
+    """Whether a tracer or profiler is active.  It holds one more reference
+    to the buffer _irfft shrinks in place (the frame's locals, the bound
+    method it reports), so the kept points are copied out instead."""
+    return sys.gettrace() is not None or sys.getprofile() is not None
 
 
 def _normal_spectrum(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
@@ -175,23 +194,28 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
 
 def _covariance_spectrum(half: int, hurst: float) -> np.ndarray:
     """The fGn autocovariance gamma(0..half) as _irfft's packed spectrum."""
-    # q[k] = |k-1|^2H once; gamma(k) = 0.5*((q[k+2] - 2q[k+1]) + q[k]),
-    # written a block of rows at a time into the real slots
-    q = np.arange(-1.0, half + 2)
-    q[0] = 1.0
-    q **= 2.0 * hurst
+    # gamma(k) = 0.5*((q[k+2] - 2q[k+1]) + q[k]) with q[k] = |k-1|^2H, written
+    # a block of rows at a time into the real slots; a block's q covers its
+    # bins and the two after them, so the last block's also gives gamma(half)
     buf = np.zeros(2 * half)
     re = _bin_views(buf)[0]
     width = re.shape[1]
     step = max(1, _BLOCK // width)
+    size = min(step, len(re)) * width
+    ks = np.arange(size + 3.0)
+    q, g = np.empty(size + 3), np.empty(size)
     for a in range(0, len(re), step):
         s, e = a * width, min(a + step, len(re)) * width
-        g = np.multiply(q[s + 1 : e + 1], 2.0)
-        np.subtract(q[s + 2 : e + 2], g, out=g)
-        g += q[s:e]
-        g *= 0.5
-        re[a : a + step] = g.reshape(-1, width)
-    buf[1] = 0.5 * ((q[half + 2] - 2.0 * q[half + 1]) + q[half])
+        qb, gb = q[: e - s + 3], g[: e - s]
+        np.add(ks[: e - s + 3], s - 1, out=qb)
+        qb[0] = abs(qb[0])  # q[0] = |-1|, not a power of a negative base
+        qb **= 2.0 * hurst
+        np.multiply(qb[1:-2], 2.0, out=gb)
+        np.subtract(qb[2:-1], gb, out=gb)
+        gb += qb[:-3]
+        gb *= 0.5
+        re[a : a + step] = gb.reshape(-1, width)
+    buf[1] = 0.5 * ((qb[-1] - 2.0 * qb[-2]) + qb[-3])
     return buf
 
 
@@ -221,12 +245,10 @@ def _irfft(
     _prepass(grid)
     _fft_inplace(grid)
     del grid  # the shrink refuses a buffer that a view still holds
-    if lead:
-        for e in range(count, 0, -_BLOCK):
-            s = max(0, e - _BLOCK)
-            buf[s + lead : e + lead] = buf[s:e]
+    # numpy copies between overlapping 1-d views of one buffer in place
+    buf[lead : lead + count] = buf[:count]
     buf[:lead] = 0.0
-    if sys.gettrace() or sys.getprofile():
+    if _traced():
         return buf[: lead + count].copy()
     buf.resize(lead + count)
     return buf
@@ -238,34 +260,68 @@ def _prepass(grid: np.ndarray) -> None:
     g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).
 
     Row 0 holds the bins c*L1: column c pairs with column L2-c, and bin 0
-    with the real bin L.  Row r > 0 pairs (r, c) with (L1-r, L2-1-c), a
-    block of whole rows r <= L1/2 at a time.  The bin L/2 of an even L
-    pairs with itself."""
+    with the real bin L.  Row r > 0 pairs (r, c) with (L1-r, L2-1-c): rows
+    r <= L1/2 go a block at a time, over a chunk of the left half of the
+    columns together with its mirror chunk (_mirrored), paired with the
+    mirror block.  The middle row of an even L1, the middle column of an odd
+    L2 and the bin L/2 of an even L pair with themselves.  The temporaries
+    are block buffers of at most _BLOCK points and the L1/2 row roots, made
+    once."""
     l1, l2 = grid.shape
     order = 2 * l1 * l2
+    size = min(_BLOCK, l1 * l2)
+    g, w, t = np.empty((3, size), complex)
+    mid, half = l1 // 2, (l2 + 1) // 2
+    kl = np.arange(0, l1 * min(size, l2), l1, dtype=complex)  # L1 * (0, 1, ...)
     row = grid[0]
     x0, nyquist = row[0].real, row[0].imag
     row[0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
-    mid = l2 // 2
-    for s in range(1, mid + 1, _BLOCK):
-        e = min(s + _BLOCK, mid + 1)
-        _pair(row[s:e], row[l2 - e + 1 : l2 - s + 1][::-1], _roots(l1 * np.arange(s, e), order))
-    mid = l1 // 2
-    step = max(1, _BLOCK // l2)
-    for a in range(1, mid + 1, step):
-        b = min(a + step, mid + 1)
-        roots = _roots(np.arange(a, b), order)[:, None] * _roots(l1 * np.arange(l2), order)
-        _pair(grid[a:b], grid[l1 - b + 1 : l1 - a + 1][::-1, ::-1], roots)
+    for s in range(1, l2 // 2 + 1, _BLOCK):
+        e = min(s + _BLOCK, l2 // 2 + 1)
+        roots = _roots(np.add(kl[: e - s], l1 * s, out=g[: e - s]), order)
+        _pair(row[s:e], row[l2 - e + 1 : l2 - s + 1][::-1], roots, w, t)
+    if not mid:
+        return
+    # the root of (r, c) is e^(i*pi*r/L) * e^(i*pi*L1*c/L)
+    width = min(half, max(1, size // 2))
+    step = min(mid, max(1, size // (2 * width)))
+    rr = _roots(np.arange(1, mid + 1, dtype=complex), order)[:, None]
+    cr = np.empty(2 * width, complex)
+    for c, e in _chunks(half, width):
+        cols = cr[: 2 * (e - c)].reshape(2, e - c)
+        np.add(kl[: e - c], l1 * c, out=cols[0])
+        np.add(kl[: e - c], l1 * (l2 - e), out=cols[1])
+        cols = _roots(cols, order)[:, None]
+        for a in range(1, mid + 1, step):
+            b = min(a + step, mid + 1)
+            lo = _mirrored(grid, a, b, c, e)
+            roots = g[: lo.size].reshape(lo.shape)
+            np.multiply(rr[a - 1 : b - 1], cols, out=roots)
+            hi = _mirrored(grid, l1 - b + 1, l1 - a + 1, c, e)[::-1, ::-1, ::-1]
+            _pair(lo, hi, roots, w, t)
 
 
-def _pair(lo: np.ndarray, hi: np.ndarray, roots: np.ndarray) -> None:
-    """lo = X[k] and hi = X[L-k] become C[k] and C[L-k], where roots holds
-    e^(i*pi*k/L).  Where a bin is its own partner, both writes are C[k]
-    and the one to lo, made last, stands."""
-    w = np.conjugate(hi)
-    g = roots * 0.5j
+def _mirrored(grid: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
+    """Rows a..b-1 of the grid at columns c..e-1 and at their mirror columns
+    L2-e..L2-1-c, as one (2, b - a, e - c) view; reversed along every axis,
+    the same view of the mirror rows holds each bin's partner."""
+    l2, item = grid.shape[1], grid.itemsize
+    strides = ((l2 - e - c) * item, l2 * item, item)
+    return np.ndarray((2, b - a, e - c), grid.dtype, grid, (a * l2 + c) * item, strides)
+
+
+def _pair(lo: np.ndarray, hi: np.ndarray, g: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
+    """lo = X[k] and hi = X[L-k] become C[k] and C[L-k], where g holds
+    e^(i*pi*k/L); w and t are flat scratch of at least lo.size points.
+    Where a bin is its own partner, both writes are C[k] and the one to lo,
+    made last, stands."""
+    w = w[: lo.size].reshape(lo.shape)
+    t = t[: lo.size].reshape(lo.shape)
+    np.conjugate(hi, out=w)
+    g *= 0.5j
     g += 0.5
-    g *= lo - w
+    np.subtract(lo, w, out=t)
+    g *= t
     np.add(w, g, out=w)  # C[k]
     np.subtract(lo, g, out=g)
     np.conjugate(g, out=hi)  # C[L-k]
@@ -280,14 +336,26 @@ def _grid_shape(length: int) -> tuple[int, int]:
     return l1, length // l1
 
 
+def _chunks(length: int, limit: int) -> list[tuple[int, int]]:
+    """(start, end) of the fewest chunks of at most limit points that cover
+    range(length), of near-equal widths.  numpy multiplies complex operands
+    one point wide in another loop, which rounds differently, so a chunk
+    that is no sliver keeps each product what a whole-row pass makes."""
+    count = -(-length // limit)
+    return [(i * length // count, (i + 1) * length // count) for i in range(count)]
+
+
 def _roots(k: np.ndarray, order: int) -> np.ndarray:
-    """exp(2i*pi*k/order) for integers 0 <= k < order."""
-    return np.exp(2j * np.pi / order * k)
+    """k, complex integers 0 <= k < order, becomes exp(2i*pi*k/order) in place.
+    The integers stay exact: the callers make them by np.arange and by
+    adding and multiplying integers below 2**53."""
+    np.multiply(2j * np.pi / order, k, out=k)
+    return np.exp(k, out=k)
 
 
 # points per block of the normal draw, the covariance build, _irfft's
 # passes, the running sum and the clamp build
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 def _fft_inplace(grid: np.ndarray) -> None:
@@ -303,15 +371,29 @@ def _fft_inplace(grid: np.ndarray) -> None:
     """
     l1, l2 = grid.shape
     np.fft.ifft(grid, axis=1, out=grid)
-    # grid[k1, j2] *= e^(2i*pi*k1*j2/L), `step` rows at a time: row a + r
-    # takes table[r] * e^(2i*pi*a*j2/L); a single row needs none
+    # grid[k1, j2] *= e^(2i*pi*k1*j2/L) by chunks of columns, and in a chunk
+    # `step` rows at a time: row a + r takes table[r] * table[step + a/step],
+    # where table[i] = e^(2i*pi*f[i]*j2/L), f = 0..step-1 and then 0, step,
+    # 2 step, ..., is built once per chunk; a single row needs none
     if l1 > 1:
+        order = l1 * l2
         step = math.isqrt(l1)
-        j2 = np.arange(l2)
-        table = _roots(np.multiply.outer(np.arange(step), j2), l1 * l2)
-        for a in range(0, l1, step):
-            rows = grid[a : a + step]
-            rows *= table[: len(rows)] * _roots(a * j2, l1 * l2)
+        lanes = -(-l1 // step)
+        width = min(l2, max(1, _BLOCK // (step + lanes)))
+        j = np.arange(width, dtype=complex)
+        f = np.concatenate((np.arange(step), np.arange(0, l1, step))).astype(complex)[:, None]
+        table = np.empty((step + lanes) * width, complex)
+        prod = np.empty(step * width, complex)
+        for c, e in _chunks(l2, width):
+            n = e - c
+            tab = table[: (step + lanes) * n].reshape(step + lanes, n)
+            j2 = np.add(j[:n], c, out=prod[:n])
+            _roots(np.multiply(f, j2, out=tab), order)
+            for lane, a in enumerate(range(0, l1, step), step):
+                rows = grid[a : a + step, c : c + n]
+                p = prod[: rows.size].reshape(rows.shape)
+                np.multiply(tab[: len(rows)], tab[lane], out=p)
+                rows *= p
     np.fft.ifft(grid, axis=0, out=grid)
 
 
@@ -378,18 +460,23 @@ class FbmTrace:
             raise ValueError("omega must start at zero")
         self.params = params
         # monotone clamp: running max of max(0, raw), raw = mu*t + sigma*omega,
-        # a block at a time, over omega; `top` (>= 0) is the clamp so far
+        # a block at a time over omega, through block buffers made once;
+        # `top` (>= 0) is the clamp so far
         n = omega.shape[0]
+        size = min(n, _BLOCK)
+        ks, raw, above = np.arange(float(size)), np.empty(size), np.empty(size, bool)
         top, clamped = 0.0, 0
         for s in range(0, n, _BLOCK):
             c = omega[s : s + _BLOCK]
-            raw = np.arange(s, s + len(c), dtype=float)
-            raw *= params.dt
-            raw *= params.mu
-            raw += params.sigma * c
-            np.maximum(raw, top, out=c)
+            r = raw[: len(c)]
+            np.add(ks[: len(c)], s, out=r)
+            r *= params.dt
+            r *= params.mu
+            c *= params.sigma
+            r += c
+            np.maximum(r, top, out=c)
             np.maximum.accumulate(c, out=c)
-            clamped += np.count_nonzero(c > raw)
+            clamped += np.count_nonzero(np.greater(c, r, out=above[: len(c)]))
             top = c[-1]
         # fraction of grid points where the monotone clamp altered raw b(t)
         self.clamp_fraction = clamped / n

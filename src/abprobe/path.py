@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fbm
 from .fbm import FbmTrace
 from .probing import ProbeSchedule
 
@@ -34,7 +35,6 @@ __all__ = [
 # cap on the effective cross-traffic rate, as a fraction of capacity; the
 # closed-form transit relies on it staying below 1
 RATE_CEILING = 0.95
-_BLOCK = 1 << 16  # grid points per block of the cap count
 
 
 def fluid_strain_oracle(u: float, capacity: float, y: float) -> float:
@@ -93,20 +93,29 @@ class PathModel:
         self.capacity = float(capacity)
         self.traffic = traffic
 
-        # one buffer: grid increments, capped at the ceiling, summed back up
+        # one buffer: grid increments, capped at the ceiling, summed back up,
+        # a block at a time; each block's first element takes the sum so
+        # far, which leaves every addition the same as one cumsum's
         dt = traffic.params.dt
         cum = traffic.cum_grid
         eff = np.empty(traffic.n)
         eff[0] = 0.0
         inc = eff[1:]
-        np.subtract(cum[1:], cum[:-1], out=inc)
         cap = RATE_CEILING * self.capacity * dt
-        blocks = [inc[s : s + _BLOCK] for s in range(0, len(inc), _BLOCK)]
-        capped = sum(np.count_nonzero(b > cap) for b in blocks)
+        block = fbm._BLOCK
+        above = np.empty(min(len(inc), block), bool)
+        capped, top, total = 0, 0.0, 0.0  # the clamped grid never falls
+        for s in range(0, len(inc), block):
+            b = inc[s : s + block]
+            np.subtract(cum[s + 1 : s + 1 + len(b)], cum[s : s + len(b)], out=b)
+            capped += np.count_nonzero(np.greater(b, cap, out=above[: len(b)]))
+            np.minimum(b, cap, out=b)
+            top = max(top, b.max())
+            b[0] += total
+            np.cumsum(b, out=b)
+            total = b[-1]
         self.cap_fraction = float(capped / len(inc)) if len(inc) else 0.0
-        np.minimum(inc, cap, out=inc)
-        self.max_fluid_rate = float(inc.max() / dt) if len(inc) else 0.0
-        np.cumsum(inc, out=inc)
+        self.max_fluid_rate = float(top / dt)
         eff.flags.writeable = False
         self._eff = eff
         self._dt = dt

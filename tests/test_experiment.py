@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from abprobe import experiment
+from abprobe import experiment, fbm
 from abprobe.experiment import (
     EVENT_HEADER,
     SEQUENCE_GAP,
@@ -140,7 +140,11 @@ def test_run_rejects_trace_beyond_physical_memory(monkeypatch):
     ([{"capacity": c, "packet_size": 500.0, "sequences": 300} for c in (1e7, 2e7, 3e7)],
      346_275_000),
 ])
-def test_trace_memory_estimate_in_bytes(variants, want):
+def test_trace_memory_estimate_in_bytes(monkeypatch, variants, want):
+    # the estimates of a process with no tracer or profiler active, also when
+    # the suite itself runs under one (a coverage tool): a traced synthesis
+    # needs 4 B per point more, which test_fbm checks
+    monkeypatch.setattr(fbm, "_traced", lambda: False)
     params = [RunConfig(**v).finalize().fbm_params() for v in variants]
     assert peak_bytes([(p.n_samples, p.hurst) for p in params]) == want
 

@@ -338,10 +338,11 @@ def test_trace_bit_identical_to_reference(hurst, n_samples):
 
 @pytest.mark.parametrize("hurst", [0.3, 0.7])
 def test_trace_matches_reference_over_several_blocks(hurst):
-    # m = 144000: a 250 x 288 four-step grid, two pre-pass blocks, 16 twiddle
-    # blocks.  H = 0.05 is left out at this length: its eigenvalues near bin 0
-    # are ~1e-6 of the largest, so their ~1e-15 rounding moves omega's drift
-    # by ~4e-12 of max|omega| (the synthesis alone agrees to ~2e-14).
+    # m = 144000: a 250 x 288 four-step grid, three pre-pass blocks, 17
+    # twiddle blocks.  H = 0.05 is left out at this length: its eigenvalues
+    # near bin 0 are ~1e-6 of the largest, so their ~1e-15 rounding moves
+    # omega's drift by ~4e-12 of max|omega| (the synthesis alone agrees to
+    # ~2e-14).
     fbm._SCALE_CACHE.clear()
     assert_trace_matches_reference(make_params(hurst=hurst, mu=0.4, horizon=70000.0, seed=7))
 
@@ -408,6 +409,32 @@ def test_blocked_passes_match_reference(monkeypatch, set_block, block, half):
     assert_owns_its_bytes(x, half)
     want = reference_fgn(ref, half, np.random.default_rng(half))
     assert np.abs(x - want).max() <= OMEGA_RTOL * np.abs(want).max()
+
+
+def whole_array_covariance(half, hurst):
+    """gamma(0..half) by the whole-array formula the blocked build replaced:
+    q[k] = |k-1|^2H for k = 0..half+2, then
+    gamma(k) = 0.5*((q[k+2] - 2q[k+1]) + q[k])."""
+    q = np.arange(-1.0, half + 2)
+    q[0] = 1.0
+    q **= 2.0 * hurst
+    return 0.5 * ((q[2:] - 2.0 * q[1:-1]) + q[:-2])
+
+
+@pytest.mark.parametrize("block", [3, 4, None])
+@pytest.mark.parametrize("half", [10, 12, 13, 15, 16, 33750])
+@pytest.mark.parametrize("hurst", [0.05, 0.7, 0.99])
+def test_blocked_covariance_build_equals_whole_array_formula(set_block, block, half, hurst):
+    # bit for bit, |k-1|^2H raised a block at a time; 33750 (150 x 225) runs
+    # over several blocks at the default size
+    if block is not None:
+        set_block(block)
+    buf = fbm._covariance_spectrum(half, hurst)
+    re, im = fbm._bin_views(buf)
+    want = whole_array_covariance(half, hurst)
+    assert np.array_equal(re.reshape(-1), want[:half])
+    assert buf[1] == want[half]  # the real bin half, in bin 0's imaginary slot
+    assert not im.reshape(-1)[1:].any()
 
 
 def test_blocked_clamp_build_equals_whole_array_formula(set_block):
@@ -495,6 +522,21 @@ def test_irfft_refuses_a_buffer_held_elsewhere():
         fbm._irfft(build, (np.arange(9.0) + 0j,), 0, 9)
 
 
+@pytest.mark.parametrize("half", [2 * 70001, 3 * 70001, 4 * 70001])
+def test_irfft_rows_longer_than_a_block(half):
+    # 2, 3 and 4 x 70001 grids at the default block: the pre-pass pairs
+    # chunks of columns with their mirror chunks (the middle row's with its
+    # own), and the twiddle runs over several chunks of columns
+    assert fbm._grid_shape(half)[1] > fbm._BLOCK
+    rng = np.random.default_rng(half)
+    spec = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
+    want = np.fft.irfft(spec, n=2 * half)[:half]
+    x = fbm._irfft(packed, (spec,), 1, half)
+    assert_owns_its_bytes(x, half + 1)
+    assert x[0] == 0.0
+    assert np.abs(x[1:] - want).max() <= OMEGA_RTOL * np.abs(want).max()
+
+
 def test_trace_built_through_wrapped_calls(monkeypatch):
     # the buffer is built inside _irfft, so wrappers that hold their
     # arguments (a decorator, a tracer, a frame evaluator) do not block the
@@ -568,11 +610,11 @@ def test_fft_inplace_matches_numpy(length):
 
 
 def test_trace_build_peak_memory_per_sample():
-    # Measured: ~28.9 B per sample, i.e. the half-length FFT buffer the
+    # Measured: ~25.0 B per sample, i.e. the half-length FFT buffer the
     # normals are drawn into (8 B) and the cached scale (4 B) per embedding
-    # point at m = 2n, plus ~5 B for the pre-pass blocks.  The FFT works
-    # inside that buffer with one lane of scratch and the samples stay in it,
-    # so tracemalloc sees the whole peak.
+    # point at m = 2n, plus ~1 MB of block buffers.  The FFT works inside
+    # that buffer with one lane of scratch and the samples stay in it, so
+    # tracemalloc sees the whole peak.
     n = 2**20 + 1
     p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
     fbm._SCALE_CACHE.clear()
@@ -582,19 +624,80 @@ def test_trace_build_peak_memory_per_sample():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / n < 31.0
+    assert peak / n < 26.0
+
+
+@pytest.mark.parametrize("half", [2 * 500009, 1000 * 1000, 2916 * 3456])
+def test_synthesis_temporaries_stay_within_blocks(monkeypatch, half):
+    # tracemalloc's peak of one synthesis with its scale cached, less the
+    # 8 B per embedding point of its transform buffer: the block buffers of
+    # the passes, at most a few _BLOCK points each, whatever the grid's shape
+    # (2 x 500009 is the m = 2n fallback's for n = 2 * prime; the last one is
+    # fine_trace's).  Measured: 1.3, 1.0 and 1.1 MiB.
+    monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    fgn_davies_harte(half, 0.7, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        fgn_davies_harte(half, 0.7, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * 2 * half <= 4 * 2**20
+
+
+def test_cold_eigenvalue_step_peak_per_point():
+    # The embedding's eigenvalues at run_cli's size are built in one 8 B per
+    # point buffer, gamma a block at a time, with no |k-1|^2H array beside
+    # it.  Measured: 8.16 B per point.
+    n = 3336666
+    tracemalloc.start()
+    try:
+        lam = fbm._embedding_eigenvalues(n, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 * (len(lam) - 1)) <= 8.6
+
+
+def test_traced_build_fits_its_estimate(monkeypatch):
+    # under a tracer _irfft copies the kept points out of the full buffer,
+    # and peak_bytes counts that copy: tracemalloc's peak with the scale
+    # cached, plus the scale, stays within the estimate
+    n = 2**20 + 1
+    p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    generate_trace(p)
+    (scale,) = fbm._SCALE_CACHE.values()
+    untraced = fbm.peak_bytes([(n, p.hurst)])
+
+    def hook(frame, event, arg):
+        return hook
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        estimate = fbm.peak_bytes([(n, p.hurst)])
+        tracemalloc.start()
+        generate_trace(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.settrace(previous)
+    assert untraced < estimate
+    assert peak + scale.nbytes <= estimate
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc/self/status")
 def test_trace_build_peak_rss_per_embedding_point():
     # Peak RSS rise of one cold trace build in a fresh process, over its
-    # embedding length: ~14.7 B per point measured (12 B for the buffer and
-    # the scale, the rest the pre-pass blocks).  A length-m numpy irfft
-    # needs ~24 B per point of output and working memory on its own (~37 B
-    # for the whole build), which tracemalloc does not see.  The child reads
-    # its own VmHWM, not ru_maxrss: a process started by exec inherits in
-    # ru_maxrss the peak RSS of the one that started it, here the test
-    # runner's, which can hide the whole rise.
+    # embedding length: ~13.9 B per point measured (12 B for the
+    # buffer and the scale, the rest the block buffers and the allocator).
+    # A length-m numpy irfft needs ~24 B per point of output and working
+    # memory on its own (~37 B for the whole build), which tracemalloc does
+    # not see.  The child reads its own VmHWM, not ru_maxrss: a process
+    # started by exec inherits in ru_maxrss the peak RSS of the one that
+    # started it, here the test runner's, which can hide the whole rise.
     code = (
         "from abprobe.fbm import FbmParams, _next_fast_len, generate_trace\n"
         "def peak_kib():\n"
@@ -610,4 +713,4 @@ def test_trace_build_peak_rss_per_embedding_point():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert float(out.stdout) < 17.0
+    assert float(out.stdout) < 15.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from abprobe import path as path_module
+from abprobe import fbm
 from abprobe.fbm import FbmParams, FbmTrace, generate_trace
 from abprobe.path import (
     RATE_CEILING,
@@ -312,8 +312,8 @@ def test_effective_volume_bit_identical_to_reference(monkeypatch, ceiling, horiz
     trace = fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
     dt = trace.params.dt
     inc = np.diff(trace.cum_grid)
-    for block in (path_module._BLOCK, 4):
-        monkeypatch.setattr(path_module, "_BLOCK", block)
+    for block in (fbm._BLOCK, 4):
+        monkeypatch.setattr(fbm, "_BLOCK", block)
         path = make_path(trace, capacity=ceiling / RATE_CEILING)
         capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
         assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
