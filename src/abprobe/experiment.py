@@ -3,9 +3,10 @@ comparisons, all emitting plot-ready CSV.
 
 A run is a pure function of (config, seed): traffic synthesis, N probing
 sequences through the bottleneck, one filter step per sequence.  Sweeps and
-comparisons partition work per seed so each worker generates its seed's
-traffic trace once and reuses it across grid points; results are merged in
-deterministic grid order regardless of completion order.
+comparisons partition work per seed so each worker builds its seed's path
+(the synthesized trace and its effective volume) once and reuses it across
+the grid points that share its traffic parameters and capacity; results are
+merged in deterministic grid order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, normalized_mse
-from .fbm import FbmParams, FbmTrace, generate_trace, peak_bytes
+from .fbm import FbmParams, peak_bytes
 from .kalman import GATE_THRESHOLD_DEFAULT, FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
 from .probing import (
@@ -266,26 +267,26 @@ class ExperimentReport:
 
 def run(
     config: RunConfig,
-    trace: FbmTrace | None = None,
+    path: PathModel | None = None,
     collect_bounds: bool = False,
     event_log=None,
 ) -> ExperimentReport:
     """Execute one full estimation run; deterministic per (config, seed).
 
-    A pre-generated trace may be supplied to share traffic across runs; it
-    must match the config's traffic parameters exactly.
+    A pre-built path may be supplied to share traffic across runs; its
+    traffic parameters and capacity must match the config's exactly.
     """
     cfg = config.finalize()
     params = cfg.fbm_params()
-    if trace is None:
+    if path is None:
         n = params.n_samples
         _check_memory(peak_bytes([(n, params.hurst)]), f"the {n}-sample traffic trace")
-        trace = generate_trace(params)
-    elif trace.params != params:
+        path = PathModel(cfg.capacity, params)
+    elif (path.params, path.capacity) != (params, cfg.capacity):
         raise ValueError(
-            f"supplied trace was generated from {trace.params}, config needs {params}"
+            f"supplied path was built from {path.params} at capacity {path.capacity}, "
+            f"config needs {params} at capacity {cfg.capacity}"
         )
-    path = PathModel(cfg.capacity, trace)
     seq_cfg = cfg.sequence_config()
     fcfg = cfg.filter_config()
 
@@ -315,7 +316,7 @@ def run(
 
     return ExperimentReport(
         config=cfg,
-        clamp_fraction=trace.clamp_fraction,
+        clamp_fraction=path.clamp_fraction,
         cap_fraction=path.cap_fraction,
         bound_reports=bounds,
         t_start=t_start,
@@ -340,21 +341,21 @@ def _write_event_log(path, sched: ProbeSchedule, dep: np.ndarray) -> None:
 # -- seed ensembles ------------------------------------------------------
 #
 # A sweep and a comparison are both a list of variants (RunConfig overrides)
-# run on every seed.  Each seed is one task that synthesizes its traffic once
-# and replays it while consecutive variants need the same trace.
+# run on every seed.  Each seed is one task that builds its path once and
+# replays it while consecutive variants need the same traffic and capacity.
 
 
 def _seed_task(args):
     base, variants, seed = args
     xis = []
-    params = trace = None
+    key = path = None
     for overrides in variants:
         cfg = replace(base, seed=seed, **overrides).finalize()
-        if cfg.fbm_params() != params:
-            params = cfg.fbm_params()
-            trace = None  # free the previous variant's trace first
-            trace = generate_trace(params)
-        xis.append(run(cfg, trace=trace).xi)
+        if (cfg.fbm_params(), cfg.capacity) != key:
+            key = (cfg.fbm_params(), cfg.capacity)
+            path = None  # free the previous variant's path first
+            path = PathModel(cfg.capacity, key[0])
+        xis.append(run(cfg, path=path).xi)
     return seed, xis
 
 

@@ -2,10 +2,11 @@
 
 The cumulative cross-traffic volume is b(t) = mu*t + sigma*omega(t), where
 omega is standard fBm with Var(omega(t)) = |t|^(2H).  Raw b(t) can decrease
-(omega is signed); traffic volumes cannot, so the trace keeps the monotone
-clamp b~(t) = max_{s<=t} max(0, b(s)) on its sample grid, and only that.
-Volume and rate queries between grid points belong to the path
-(abprobe.path.PathModel).
+(omega is signed); traffic volumes cannot, so a trace is the monotone clamp
+b~(t) = max_{s<=t} max(0, b(s)) on its sample grid, built over omega in the
+synthesis's own array.  The path (abprobe.path.PathModel) caps that same
+array into the one traffic volume it keeps, and answers every volume and
+rate query.
 
 omega comes from exact Davies-Harte synthesis.  One length-m real inverse
 transform serves both the embedding's eigenvalues and the synthesis: a
@@ -24,10 +25,10 @@ arrays, per embedding point:
   running sum and the clamp are built over them.
 
 Beside these, every pass (the normal draw, the covariance build, the
-pre-pass, the twiddle, the running sum, the clamp and the path's volume
-build) works a block of at most _BLOCK points at a time through block
-buffers it makes once per call, so its temporaries are O(_BLOCK) whatever
-the grid's shape: about 1 MiB at the default _BLOCK.
+pre-pass, the twiddle, the running sum, the clamp and the path's cap) works
+a block of at most _BLOCK points at a time through block buffers it makes
+once per call, so its temporaries are O(_BLOCK) whatever the grid's shape:
+about 1 MiB at the default _BLOCK.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def _roots(k: np.ndarray, order: int) -> np.ndarray:
 
 
 # points per block of the normal draw, the covariance build, _irfft's
-# passes, the running sum and the clamp build
+# passes, the running sum, the clamp and the path's cap
 _BLOCK = 1 << 14
 
 
@@ -433,72 +434,55 @@ class FbmParams:
         return int(np.floor(self.horizon / self.dt + 1e-9)) + 1
 
 
+@dataclass(frozen=True, eq=False)
 class FbmTrace:
-    """The clamped cumulative-volume grid of a sampled omega(t) path.
+    """The monotone clamp b~(t) = max_{s<=t} max(0, b(s)) on the dt grid,
+    in the synthesis's own array (volume), and the fraction of grid points
+    where the clamp altered b(t).  The path that asks for a trace
+    (abprobe.path.PathModel) builds its effective volume in that same array,
+    so a run keeps one whole-trace copy of its traffic volume."""
 
-    The trace clamps a float copy of the omega it is given, so the caller's
-    array is left as it was; omega itself is not kept.  Immutable after
-    construction, so a trace may be shared freely across workers.
-    """
-
-    def __init__(self, params: FbmParams, omega: np.ndarray):
-        self._clamp(params, np.array(omega, dtype=float))
-
-    @classmethod
-    def _over(cls, params: FbmParams, omega: np.ndarray) -> FbmTrace:
-        """The trace clamped in place over omega, a float array it takes over."""
-        trace = cls.__new__(cls)
-        trace._clamp(params, omega)
-        return trace
-
-    def _clamp(self, params: FbmParams, omega: np.ndarray) -> None:
-        if omega.ndim != 1 or omega.shape[0] != params.n_samples:
-            raise ValueError(
-                f"omega must have {params.n_samples} samples, got shape {omega.shape}"
-            )
-        if omega[0] != 0.0:
-            raise ValueError("omega must start at zero")
-        self.params = params
-        # monotone clamp: running max of max(0, raw), raw = mu*t + sigma*omega,
-        # a block at a time over omega, through block buffers made once;
-        # `top` (>= 0) is the clamp so far
-        n = omega.shape[0]
-        size = min(n, _BLOCK)
-        ks, raw, above = np.arange(float(size)), np.empty(size), np.empty(size, bool)
-        top, clamped = 0.0, 0
-        for s in range(0, n, _BLOCK):
-            c = omega[s : s + _BLOCK]
-            r = raw[: len(c)]
-            np.add(ks[: len(c)], s, out=r)
-            r *= params.dt
-            r *= params.mu
-            c *= params.sigma
-            r += c
-            np.maximum(r, top, out=c)
-            np.maximum.accumulate(c, out=c)
-            clamped += np.count_nonzero(np.greater(c, r, out=above[: len(c)]))
-            top = c[-1]
-        # fraction of grid points where the monotone clamp altered raw b(t)
-        self.clamp_fraction = clamped / n
-        omega.flags.writeable = False
-        self._cum = omega
+    params: FbmParams
+    volume: np.ndarray
+    clamp_fraction: float
 
     @property
     def n(self) -> int:
-        return self._cum.shape[0]
+        return len(self.volume)
 
-    @property
-    def cum_grid(self) -> np.ndarray:
-        """Clamped cumulative bits at grid points (non-decreasing)."""
-        return self._cum
+
+def _clamp(params: FbmParams, omega: np.ndarray) -> float:
+    """omega becomes the monotone clamp of raw = mu*t + sigma*omega in
+    place, a block at a time through block buffers made once; `top` (>= 0)
+    is the clamp so far.  Returns the fraction of grid points where the
+    clamp altered raw."""
+    n = omega.shape[0]
+    size = min(n, _BLOCK)
+    ks, raw, above = np.arange(float(size)), np.empty(size), np.empty(size, bool)
+    top, clamped = 0.0, 0
+    for s in range(0, n, _BLOCK):
+        c = omega[s : s + _BLOCK]
+        r = raw[: len(c)]
+        np.add(ks[: len(c)], s, out=r)
+        r *= params.dt
+        r *= params.mu
+        c *= params.sigma
+        r += c
+        np.maximum(r, top, out=c)
+        np.maximum.accumulate(c, out=c)
+        clamped += np.count_nonzero(np.greater(c, r, out=above[: len(c)]))
+        top = c[-1]
+    return clamped / n
 
 
 def generate_trace(params: FbmParams) -> FbmTrace:
-    """Synthesize omega on the dt grid; bit-for-bit reproducible per seed.
+    """Synthesize omega on the dt grid and clamp its volume; bit-for-bit
+    reproducible per seed.
 
     omega is the increments' running sum, built in the synthesis's own
     array, a block at a time; each block's first element takes the sum so
-    far, which leaves every addition the same as one cumsum's."""
+    far, which leaves every addition the same as one cumsum's.  The clamp
+    is then built over omega in place, so omega itself is not kept."""
     rng = np.random.default_rng(params.seed)
     omega = _fgn(params.n_samples - 1, params.hurst, rng, 1)
     step = params.dt**params.hurst
@@ -509,5 +493,4 @@ def generate_trace(params: FbmParams) -> FbmTrace:
         b[0] += total
         np.cumsum(b, out=b)
         total = b[-1]
-    return FbmTrace._over(params, omega)
-
+    return FbmTrace(params, omega, _clamp(params, omega))

@@ -1,6 +1,6 @@
 """Single-bottleneck FIFO path at the hop-workload level.
 
-Cross-traffic is fluid (driven by an FbmTrace), probe packets are discrete.
+Cross-traffic is fluid (the capped volume of an fbm trace), probes discrete.
 The bottleneck queue is tracked as a workload process w(t): seconds of
 unfinished service.  Between probe arrivals the fluid adds d(arrivals)/C of
 work while the server drains at unit rate, floored at zero with idle time
@@ -14,12 +14,13 @@ time and the receiver at its bottleneck departure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fbm
-from .fbm import FbmTrace
+from .fbm import FbmParams, generate_trace
 from .probing import ProbeSchedule
 
 __all__ = [
@@ -79,47 +80,29 @@ class TransitResult:
 class PathModel:
     """Bottleneck capacity plus the effective fluid arrival process.
 
-    The trace's clamped cumulative volume is additionally rate-capped at
-    RATE_CEILING * capacity so the bottleneck keeps positive residual
-    bandwidth; cap_fraction reports how often the cap bit and max_fluid_rate
-    the highest capped rate on the grid.  This effective volume answers
-    every cross-traffic volume and rate query (cumulative_cross_bits,
-    cross_rate).
+    The path synthesizes the trace of params (fbm.generate_trace), the
+    monotone clamp of b(t) = mu*t + sigma*omega(t), and rate-caps it in the
+    trace's own array at RATE_CEILING * capacity, so the bottleneck keeps
+    positive residual bandwidth and the path keeps one traffic volume.
+    clamp_fraction reports how often the clamp altered b(t), cap_fraction
+    how often the cap bit and max_fluid_rate the highest capped rate on the
+    grid.  This effective volume answers every cross-traffic volume and
+    rate query (cumulative_cross_bits, cross_rate).  Immutable after
+    construction, so runs of the same traffic and capacity may share one
+    path.
     """
 
-    def __init__(self, capacity: float, traffic: FbmTrace):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
+    def __init__(self, capacity: float, params: FbmParams):
+        if not (math.isfinite(capacity) and capacity > 0):
+            raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
         self.capacity = float(capacity)
-        self.traffic = traffic
-
-        # one buffer: grid increments, capped at the ceiling, summed back up,
-        # a block at a time; each block's first element takes the sum so
-        # far, which leaves every addition the same as one cumsum's
-        dt = traffic.params.dt
-        cum = traffic.cum_grid
-        eff = np.empty(traffic.n)
-        eff[0] = 0.0
-        inc = eff[1:]
-        cap = RATE_CEILING * self.capacity * dt
-        block = fbm._BLOCK
-        above = np.empty(min(len(inc), block), bool)
-        capped, top, total = 0, 0.0, 0.0  # the clamped grid never falls
-        for s in range(0, len(inc), block):
-            b = inc[s : s + block]
-            np.subtract(cum[s + 1 : s + 1 + len(b)], cum[s : s + len(b)], out=b)
-            capped += np.count_nonzero(np.greater(b, cap, out=above[: len(b)]))
-            np.minimum(b, cap, out=b)
-            top = max(top, b.max())
-            b[0] += total
-            np.cumsum(b, out=b)
-            total = b[-1]
-        self.cap_fraction = float(capped / len(inc)) if len(inc) else 0.0
-        self.max_fluid_rate = float(top / dt)
-        eff.flags.writeable = False
-        self._eff = eff
-        self._dt = dt
-        self._horizon = (traffic.n - 1) * dt
+        self.params = params
+        trace = generate_trace(params)
+        self.clamp_fraction = trace.clamp_fraction
+        self.cap_fraction, self.max_fluid_rate = _cap(trace.volume, params.dt, self.capacity)
+        trace.volume.flags.writeable = False
+        self._eff = trace.volume
+        self._horizon = (trace.n - 1) * params.dt
 
     @property
     def horizon(self) -> float:
@@ -130,7 +113,7 @@ class PathModel:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < -1e-9) or np.any(t_arr > self._horizon * (1 + 1e-12) + 1e-9):
             raise ValueError(f"time outside traffic horizon [0, {self._horizon}]")
-        pos = np.clip(t_arr / self._dt, 0.0, len(self._eff) - 1.0)
+        pos = np.clip(t_arr / self.params.dt, 0.0, len(self._eff) - 1.0)
         j = np.minimum(pos.astype(np.int64), len(self._eff) - 2)
         frac = pos - j
         out = self._eff[j] + (self._eff[j + 1] - self._eff[j]) * frac
@@ -144,6 +127,37 @@ class PathModel:
         return (
             self.cumulative_cross_bits(t + delta) - self.cumulative_cross_bits(t)
         ) / delta
+
+
+def _cap(cum: np.ndarray, dt: float, capacity: float) -> tuple[float, float]:
+    """The clamped volume cum becomes the effective volume in place: its grid
+    increments, capped at RATE_CEILING * capacity * dt, summed back up, a
+    block at a time through block buffers made once.  Returns the fraction
+    of increments the cap cut and the highest capped rate.
+
+    Each block's first increment is taken from the level the block before
+    ended at (`level`), and its first element takes the sum so far
+    (`total`), which leaves every addition the same as one cumsum's."""
+    n = len(cum)
+    cap = RATE_CEILING * capacity * dt
+    size = min(n, fbm._BLOCK)
+    prev, hit = np.empty(size), np.empty(size, bool)
+    level = top = total = 0.0  # the clamped grid starts at 0 and never falls
+    capped = 0
+    for s in range(0, n, fbm._BLOCK):
+        c = cum[s : s + fbm._BLOCK]
+        p = prev[: len(c)]
+        p[0] = level
+        p[1:] = c[:-1]
+        level = c[-1]
+        c -= p
+        capped += np.count_nonzero(np.greater(c, cap, out=hit[: len(c)]))
+        np.minimum(c, cap, out=c)
+        top = max(top, c.max())
+        c[0] += total
+        np.cumsum(c, out=c)
+        total = c[-1]
+    return float(capped / (n - 1)), float(top / dt)
 
 
 def transit_sequence(

@@ -20,7 +20,7 @@ from abprobe.analysis import (
 )
 from abprobe.cli import main
 from abprobe.experiment import RunConfig, compare_bart, run, sweep
-from abprobe.fbm import FbmParams, generate_trace
+from abprobe.fbm import FbmParams
 from abprobe.kalman import FilterState, update_sequential, update_vector
 from abprobe.path import PathModel
 from abprobe.probing import StrainMeasurement
@@ -123,10 +123,8 @@ def test_criterion_4_fbm_fidelity():
         n_traces = 10_000
         rates = np.empty((n_traces, len(deltas)))
         for s in range(n_traces):
-            tr = generate_trace(
-                FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s)
-            )
-            path = PathModel(100.0, tr)  # the 95 rate ceiling never binds at mu=50
+            params = FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s)
+            path = PathModel(100.0, params)  # the 95 rate ceiling never binds at mu=50
             assert path.cap_fraction == 0.0
             rates[s] = path.cross_rate(1.0, deltas)
         var = rates.var(axis=0, ddof=1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import abprobe.experiment
+import abprobe.path
 from abprobe.cli import SCENARIO_FLAGS, _scenario, build_parser, main
 from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER, RunConfig
 from abprobe.fbm import peak_bytes
@@ -111,7 +112,7 @@ def test_non_finite_values_exit_2(tmp_path, capsys, flag, value):
 def test_trace_beyond_physical_memory_exits_2_before_synthesis(
     tmp_path, capsys, monkeypatch, command
 ):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     out = tmp_path / "x.csv"
     argv = [command, "--capacity", "1e9", "--sequences", "100000", "--out", str(out)]
     assert main(argv) == 2
@@ -122,7 +123,7 @@ def test_trace_beyond_physical_memory_exits_2_before_synthesis(
 def test_ensemble_beyond_physical_memory_exits_2_before_synthesis(tmp_path, capsys, monkeypatch):
     # every variant fits on its own, but not with the spectral scales fbm
     # caches for the others
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     caps = [1e7, 2e7, 3e7]
     traces = [trace_key(RunConfig(capacity=c, packet_size=500.0, sequences=300)) for c in caps]
     one, ensemble = peak_bytes(traces[2:]), peak_bytes(traces)
@@ -142,7 +143,7 @@ def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
         def __init__(self, max_workers):
             raise AssertionError("worker pool started")
 
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     monkeypatch.setattr(abprobe.experiment, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(abprobe.experiment.os, "cpu_count", lambda: 2)
     one = peak_bytes([trace_key(RunConfig(sequences=300))])
@@ -170,7 +171,7 @@ def test_indefinite_embedding_exits_2(tmp_path, capsys, command):
 
 
 def test_compare_bart_validates_every_variant_before_synthesis(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     out = tmp_path / "cmp.csv"
     argv = ["compare-bart", "--packets", "17", "--portions", "2,9", "--out", str(out)]
     assert main(argv) == 2
@@ -185,7 +186,7 @@ REMOVED_KEYS = {"access_capacity": 1e8, "c_ref": 1e7, "y_max": 9e6, "inter_seque
 
 @pytest.mark.parametrize("key", REMOVED_KEYS)
 def test_removed_access_capacity_key_exits_2(tmp_path, capsys, monkeypatch, key):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: REMOVED_KEYS[key]}))
     assert main(["run", "--config", str(cfg), "--sequences", "5"]) == 2
@@ -198,7 +199,7 @@ def test_every_scenario_field_has_a_flag_but_psi0():
 
 
 def test_run_options_in_config_file_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": "0:3", "out": str(tmp_path / "x.csv")}))
     assert main(["sweep", "--config", str(cfg), "--packets", "13"]) == 2
@@ -230,7 +231,7 @@ def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
 def test_bad_filter_values_exit_2_before_synthesis(
     tmp_path, capsys, monkeypatch, flags, file_cfg, message
 ):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(file_cfg))
     out = tmp_path / "x.csv"
@@ -252,7 +253,7 @@ def test_bad_filter_values_exit_2_before_synthesis(
     ],
 )
 def test_flag_a_subcommand_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     out = tmp_path / "x.csv"
     try:
         rc = main([*argv, "--sequences", "5", "--out", str(out)])
@@ -264,7 +265,7 @@ def test_flag_a_subcommand_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, 
 
 
 def test_lambda_config_key_sets_lam(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"lambda": -1}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
@@ -418,7 +419,7 @@ def test_model_eval_grid(tmp_path):
 def test_model_eval_grid_needs_no_trace_memory(tmp_path, monkeypatch):
     # a 1 Gb/s scenario whose trace would not fit in memory: model-eval
     # synthesizes no trace, so its grid is still evaluated
-    monkeypatch.setattr(abprobe.experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     out = tmp_path / "grid.csv"
     assert main(["model-eval", "--capacity", "1e9", "--packets", "16:40:6", "--out", str(out)]) == 0
     _, rows = read_csv(out)

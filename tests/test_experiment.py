@@ -1,9 +1,11 @@
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import abprobe.path
 from abprobe import experiment, fbm
 from abprobe.experiment import (
     EVENT_HEADER,
@@ -15,7 +17,7 @@ from abprobe.experiment import (
     run,
     sweep,
 )
-from abprobe.fbm import generate_trace, peak_bytes
+from abprobe.fbm import peak_bytes
 from abprobe.path import HopWorkload, PathModel, transit_sequence
 from abprobe.probing import build_schedule, draw_portion_rates
 
@@ -70,12 +72,14 @@ def test_run_deterministic_and_sane():
     assert np.isfinite(a.xi)
 
 
-def test_run_rejects_mismatched_trace():
-    cfg_a = small_config(seed=1).finalize()
-    cfg_b = small_config(seed=2).finalize()
-    trace = generate_trace(cfg_a.fbm_params())
-    with pytest.raises(ValueError, match="trace"):
-        run(cfg_b, trace=trace)
+def test_run_rejects_mismatched_path():
+    cfg = small_config(seed=1).finalize()
+    path = PathModel(cfg.capacity, cfg.fbm_params())
+    assert run(cfg, path=path).xi == run(cfg).xi
+    # another seed, and another capacity with the same traffic parameters
+    for other in (replace(cfg, seed=2), replace(cfg, capacity=2e7)):
+        with pytest.raises(ValueError, match="supplied path"):
+            run(other, path=path)
 
 
 def test_reset_queue_changes_departures_not_crash():
@@ -97,7 +101,7 @@ def test_event_log_bytes(tmp_path):
 
     # the same values written row by row through csv.writer and _fmt
     seq = cfg.sequence_config()
-    path = PathModel(cfg.capacity, generate_trace(cfg.fbm_params()))
+    path = PathModel(cfg.capacity, cfg.fbm_params())
     rates = draw_portion_rates(seq, np.random.default_rng([cfg.seed, 1]), 12)
     sched = build_schedule(seq, rates, np.arange(12) * SEQUENCE_GAP)
     send = sched.send_times
@@ -125,7 +129,7 @@ def test_finalize_rejects_non_finite():
 def test_run_rejects_trace_beyond_physical_memory(monkeypatch):
     # 1 Gb/s for 1e5 sequences: a 3.3e10-sample trace, about 1 TB at its FFT.
     # The scenario itself is valid; run rejects the trace before synthesis.
-    monkeypatch.setattr(experiment, "generate_trace", refuse)
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     cfg = RunConfig(capacity=1e9, sequences=100_000)
     cfg.finalize()
     with pytest.raises(ValueError, match="GiB of physical memory"):
@@ -165,6 +169,16 @@ def test_sweep_rows_and_aggregates():
     assert len(med13) == 1
     assert med13[0]["xi_analytic"] > 0
     assert med13[0]["xi_empirical"] > 0
+
+
+def test_sweep_reuses_a_path_only_at_its_capacity():
+    # sigma, mu and dt pinned: both capacities share each seed's traffic
+    # parameters, and each needs a path of its own
+    base = small_config(sequences=5, sigma=1e5, mu=2e6, dt=3e-4)
+    rows = sweep(base, capacities=[5e6, 1e7], seeds=[0, 1])
+    got = {(r["C"], r["seed"]): r["xi_sim"] for r in rows if isinstance(r["seed"], int)}
+    want = {(c, s): run(replace(base, capacity=c, seed=s)).xi for c in (5e6, 1e7) for s in (0, 1)}
+    assert got == want
 
 
 def test_sweep_paired_rejects_ragged_axes():

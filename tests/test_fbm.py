@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import abprobe.path
 from abprobe import fbm
 from abprobe.fbm import (
     FbmParams,
@@ -17,7 +18,7 @@ from abprobe.fbm import (
     fgn_davies_harte,
     generate_trace,
 )
-from abprobe.path import PathModel
+from abprobe.path import PathModel, _cap
 
 
 def make_params(**kw):
@@ -27,8 +28,8 @@ def make_params(**kw):
 
 
 def omega_of(params):
-    """The omega samples generate_trace(params) builds its clamped grid from
-    (the trace keeps only the grid), bit for bit."""
+    """The omega samples generate_trace(params) builds its clamped volume
+    from (the trace keeps only the volume), bit for bit."""
     incr = fgn_davies_harte(params.n_samples - 1, params.hurst, np.random.default_rng(params.seed))
     return np.concatenate([[0.0], np.cumsum(incr * params.dt**params.hurst)])
 
@@ -85,9 +86,11 @@ def test_trace_deterministic_under_seed():
     a = generate_trace(p)
     b = generate_trace(p)
     assert np.array_equal(omega_of(p), omega_of(p))
-    assert np.array_equal(a.cum_grid, b.cum_grid)
-    # rebuilt from its omega samples, a trace has the same clamped volume
-    assert np.array_equal(FbmTrace(p, omega_of(p)).cum_grid, a.cum_grid)
+    assert np.array_equal(a.volume, b.volume)
+    # clamped over its omega samples, a trace has the same volume
+    omega = omega_of(p)
+    assert fbm._clamp(p, omega) == a.clamp_fraction
+    assert np.array_equal(omega, a.volume)
 
 
 def test_different_seeds_differ():
@@ -97,10 +100,9 @@ def test_different_seeds_differ():
 
 
 def test_omega_starts_at_zero():
-    # the trace's own omega has no separate array: FbmTrace rejects one that
-    # does not start at zero, and b(0) = sigma*omega(0) clamps to 0
+    # b(0) = sigma*omega(0) clamps to 0
     assert omega_of(make_params())[0] == 0.0
-    assert generate_trace(make_params()).cum_grid[0] == 0.0
+    assert generate_trace(make_params()).volume[0] == 0.0
 
 
 # -- distributional fidelity --------------------------------------------------
@@ -150,8 +152,7 @@ def test_variance_scaling_slope():
     # ceiling (0.95 * 100) far above the traffic
     rates = np.empty((n_traces, len(deltas)))
     for s in range(n_traces):
-        tr = generate_trace(FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s))
-        path = PathModel(100.0, tr)
+        path = PathModel(100.0, FbmParams(hurst=hurst, sigma=1.0, mu=50.0, dt=0.25, horizon=4.0, seed=s))
         assert path.cap_fraction == 0.0
         rates[s] = path.cross_rate(1.0, deltas)
     var = rates.var(axis=0, ddof=1)
@@ -165,8 +166,7 @@ def test_rate_variance_value_at_delta4():
     n_traces = 10_000
     vals = np.empty(n_traces)
     for s in range(n_traces):
-        tr = generate_trace(FbmParams(hurst=0.7, sigma=1.0, mu=50.0, dt=1.0, horizon=4.0, seed=s))
-        path = PathModel(100.0, tr)
+        path = PathModel(100.0, FbmParams(hurst=0.7, sigma=1.0, mu=50.0, dt=1.0, horizon=4.0, seed=s))
         assert path.cap_fraction == 0.0
         vals[s] = path.cross_rate(0.0, 4.0) - 50.0
     var = vals.var(ddof=1)
@@ -177,54 +177,32 @@ def test_rate_variance_value_at_delta4():
 # -- volume queries (through the path; its rate ceiling never binds here) ------
 
 def test_cumulative_bits_zero_at_origin():
-    tr = generate_trace(make_params(sigma=1.0, mu=5e6))
-    assert PathModel(1e7, tr).cumulative_cross_bits(0.0) == 0.0
+    assert PathModel(1e7, make_params(sigma=1.0, mu=5e6)).cumulative_cross_bits(0.0) == 0.0
 
 
 def test_cumulative_bits_deterministic_fluid():
-    path = PathModel(1e7, generate_trace(make_params(sigma=0.0, mu=5e6, dt=0.5, horizon=4.0)))
+    path = PathModel(1e7, make_params(sigma=0.0, mu=5e6, dt=0.5, horizon=4.0))
     assert path.cumulative_cross_bits(2.0) == pytest.approx(1e7, rel=1e-12)
     assert path.cross_rate(0.7, 2.3) == pytest.approx(5e6, rel=1e-12)
 
 
-def test_monotone_clamp_by_hand():
+def test_monotone_clamp_by_hand(monkeypatch):
     # mu=1, sigma=1, omega(1) = -2: raw b(1) = -1 -> clamped to 0
     p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
-    tr = FbmTrace(p, np.array([0.0, -2.0, 1.0]))
-    path = PathModel(10.0, tr)
+    omega = np.array([0.0, -2.0, 1.0])
+    trace = FbmTrace(p, omega, fbm._clamp(p, omega))
+    assert trace.volume.tolist() == [0.0, 0.0, 3.0]
+    monkeypatch.setattr(abprobe.path, "generate_trace", lambda params: trace)
+    path = PathModel(10.0, p)
     assert path.cumulative_cross_bits(1.0) == 0.0
     assert path.cumulative_cross_bits(0.5) == 0.0  # between two clamped grid points of 0
     # raw recovers: b(2) = 2 + 1 = 3
     assert path.cumulative_cross_bits(2.0) == pytest.approx(3.0)
-    assert tr.clamp_fraction == pytest.approx(1.0 / 3.0)
-
-
-def test_trace_from_samples_leaves_caller_array_writable():
-    # a trace built from the caller's samples (e.g. a re-imported trace CSV)
-    p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
-    w = np.array([0.0, -2.0, 1.0])
-    tr = FbmTrace(p, w)
-    assert w.flags.writeable and w.tolist() == [0.0, -2.0, 1.0]
-    assert not tr.cum_grid.flags.writeable
-    w[1] = 5.0  # the trace clamped its own copy
-    assert tr.cum_grid.tolist() == [0.0, 0.0, 3.0]
-    assert PathModel(10.0, tr).cumulative_cross_bits(1.0) == 0.0
-
-
-def test_trace_constructor_clamps_a_copy():
-    # the caller's array, read-only or not, is neither clamped nor frozen
-    p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
-    for writable in (True, False):
-        w = np.array([0.0, -2.0, 1.0])
-        w.flags.writeable = writable
-        tr = FbmTrace(p, w)
-        assert w.tolist() == [0.0, -2.0, 1.0] and w.flags.writeable == writable
-        assert tr.cum_grid.tolist() == [0.0, 0.0, 3.0]
-        assert FbmTrace(p, tr.cum_grid).cum_grid.tolist() == [0.0, 1.0, 5.0]
+    assert path.clamp_fraction == pytest.approx(1.0 / 3.0)
 
 
 def test_cumulative_nondecreasing_and_rate_nonnegative():
-    path = PathModel(1e3, generate_trace(make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)))
+    path = PathModel(1e3, make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5))
     assert path.cap_fraction == 0.0
     ts = np.linspace(0.0, 20.0, 500)
     vals = np.array([path.cumulative_cross_bits(t) for t in ts])
@@ -234,7 +212,7 @@ def test_cumulative_nondecreasing_and_rate_nonnegative():
 
 
 def test_query_domain_errors():
-    path = PathModel(10.0, generate_trace(make_params()))
+    path = PathModel(10.0, make_params())
     with pytest.raises(ValueError):
         path.cumulative_cross_bits(-0.5)
     with pytest.raises(ValueError):
@@ -250,8 +228,7 @@ def test_query_domain_errors():
 def test_trace_generation_at_awkward_sizes():
     # embedding sizes must stay even 5-smooth; n_incr=70000 once tripped this
     p = make_params(dt=3e-4, horizon=21.0, seed=0)
-    tr = generate_trace(p)
-    assert tr.n == p.n_samples == 70001
+    assert generate_trace(p).n == p.n_samples == 70001
 
 
 def test_fgn_rejects_bad_args():
@@ -321,7 +298,7 @@ def assert_trace_matches_reference(params):
     omega, raw, cum = reference_trace(params)
     tol = OMEGA_RTOL * np.abs(omega).max()
     assert np.abs(omega_of(params) - omega).max() <= tol
-    assert np.abs(tr.cum_grid - cum).max() <= params.sigma * tol
+    assert np.abs(tr.volume - cum).max() <= params.sigma * tol
     assert abs(tr.clamp_fraction - float(np.mean(cum > raw))) * tr.n <= 2
 
 
@@ -442,14 +419,14 @@ def test_blocked_clamp_build_equals_whole_array_formula(set_block):
     set_block(4)
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
     omega = omega_of(p)
-    tr = FbmTrace(p, omega)
     raw = np.arange(p.n_samples, dtype=float)
     raw *= p.dt
     raw *= p.mu
     raw += p.sigma * omega
     cum = np.maximum.accumulate(np.maximum(raw, 0.0))
-    assert np.array_equal(tr.cum_grid, cum)
-    assert tr.clamp_fraction == float(np.mean(cum > raw))
+    clamp_fraction = fbm._clamp(p, omega)
+    assert np.array_equal(omega, cum)
+    assert clamp_fraction == float(np.mean(cum > raw))
     # the clamp binds across a block boundary at a level set in the block before
     assert any(cum[b] > raw[b] and cum[b] == cum[b - 1] > 0.0 for b in range(4, p.n_samples, 4))
 
@@ -543,12 +520,12 @@ def test_trace_built_through_wrapped_calls(monkeypatch):
     # in-place shrink
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
-    want = generate_trace(p).cum_grid
+    want = generate_trace(p).volume
     for name in ("_irfft", "_fgn"):
         inner = getattr(fbm, name)
         monkeypatch.setattr(fbm, name, lambda *args, inner=inner: inner(*args))
     fbm._SCALE_CACHE.clear()  # the eigenvalues take the wrapped path too
-    assert np.array_equal(generate_trace(p).cum_grid, want)
+    assert np.array_equal(generate_trace(p).volume, want)
 
 
 @pytest.mark.parametrize("hook", ["settrace", "setprofile", "cProfile"])
@@ -558,10 +535,10 @@ def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
     # shrink refuses; the trace is then built in a copy, the same bit for bit
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
-    want = generate_trace(p).cum_grid
+    want = generate_trace(p).volume
     fbm._SCALE_CACHE.clear()  # the eigenvalues are built under the hook too
     if hook == "cProfile":
-        got = cProfile.Profile().runcall(generate_trace, p).cum_grid
+        got = cProfile.Profile().runcall(generate_trace, p).volume
     else:
         set_hook, previous = getattr(sys, hook), getattr(sys, "get" + hook[3:])()
 
@@ -570,7 +547,7 @@ def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
 
         set_hook(hook_fn)
         try:
-            got = generate_trace(p).cum_grid
+            got = generate_trace(p).volume
         finally:
             set_hook(previous)
     assert np.array_equal(got, want)
@@ -580,21 +557,29 @@ def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
 @pytest.mark.parametrize("exact", [False, True])
 def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, set_block, exact):
     # bit for bit, in blocks of 4 points: the running sum and the clamp over
-    # the synthesis's own array against the clamp of a copy of omega
+    # the synthesis's own array, and the path's cap over the same array,
+    # against the same passes over a copy of omega
     set_block(4)
     if exact:
         monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
     for n in (2, 3, 9, 14, 16, 201):
         p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=0.1 * (n - 1), seed=n)
         tr = generate_trace(p)
-        ref = FbmTrace(p, omega_of(p))
-        assert np.array_equal(tr.cum_grid, ref.cum_grid)
-        assert tr.clamp_fraction == ref.clamp_fraction
-        assert_owns_its_bytes(tr.cum_grid, n)
+        ref = omega_of(p)
+        assert tr.clamp_fraction == fbm._clamp(p, ref)
+        assert np.array_equal(tr.volume, ref)
+        assert_owns_its_bytes(tr.volume, n)
         # omega itself, before the clamp hides it where the clamp binds
         with monkeypatch.context() as m:
-            m.setattr(fbm.FbmTrace, "_over", lambda params, omega: omega.copy())
-            assert np.array_equal(generate_trace(p), omega_of(p))
+            m.setattr(fbm, "_clamp", lambda params, omega: 0.0)
+            assert np.array_equal(generate_trace(p).volume, omega_of(p))
+        path = PathModel(3.0, p)  # a rate ceiling the clamp's steps cross
+        fractions = _cap(ref, p.dt, 3.0)
+        assert np.array_equal(path._eff, ref)
+        assert path.clamp_fraction == tr.clamp_fraction
+        assert (path.cap_fraction, path.max_fluid_rate) == fractions
+        assert_owns_its_bytes(path._eff, n)
+        assert not path._eff.flags.writeable
 
 
 @pytest.mark.parametrize("length", [1, 2, 97, 18000])
@@ -620,7 +605,7 @@ def test_trace_build_peak_memory_per_sample():
     fbm._SCALE_CACHE.clear()
     tracemalloc.start()
     try:
-        PathModel(1e7, generate_trace(p))
+        PathModel(1e7, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import abprobe.path
 from abprobe import fbm
-from abprobe.fbm import FbmParams, FbmTrace, generate_trace
+from abprobe.fbm import FbmParams, generate_trace
 from abprobe.path import (
     RATE_CEILING,
     HopWorkload,
@@ -20,18 +21,16 @@ C = 1e7
 S_BITS = 12000.0
 
 
-def constant_trace(mu, horizon=20.0, dt=1e-3):
-    return generate_trace(FbmParams(hurst=0.7, sigma=0.0, mu=mu, dt=dt, horizon=horizon))
+def constant_traffic(mu, horizon=20.0, dt=1e-3):
+    return FbmParams(hurst=0.7, sigma=0.0, mu=mu, dt=dt, horizon=horizon)
 
 
-def fbm_trace(seed=0, mu=4e6, sigma=2e5, horizon=20.0, dt=3e-4):
-    return generate_trace(
-        FbmParams(hurst=0.7, sigma=sigma, mu=mu, dt=dt, horizon=horizon, seed=seed)
-    )
+def fbm_traffic(seed=0, mu=4e6, sigma=2e5, horizon=20.0, dt=3e-4):
+    return FbmParams(hurst=0.7, sigma=sigma, mu=mu, dt=dt, horizon=horizon, seed=seed)
 
 
-def make_path(trace, capacity=C):
-    return PathModel(capacity=capacity, traffic=trace)
+def make_path(params, capacity=C):
+    return PathModel(capacity=capacity, params=params)
 
 
 def schedule_at_rate(u, m=11, p=1, t_start=0.0, packet_size=1500.0):
@@ -68,8 +67,8 @@ def test_oracle_rejects_saturated_link():
 
 def test_idle_link_preserves_spacing():
     # no cross traffic, u < C, empty queue: output gaps equal input gaps
-    trace = constant_trace(mu=0.0)
-    path = make_path(trace)
+    params = constant_traffic(mu=0.0)
+    path = make_path(params)
     sched = schedule_at_rate(5e6)
     result, state = transit_sequence(path, sched, HopWorkload())
     g_in = np.diff(sched.send_times)
@@ -81,8 +80,8 @@ def test_idle_link_preserves_spacing():
 
 def test_back_to_back_probes_leave_at_service_rate():
     # u > C on an idle link: every output gap is exactly S/C
-    trace = constant_trace(mu=0.0)
-    path = make_path(trace)
+    params = constant_traffic(mu=0.0)
+    path = make_path(params)
     sched = schedule_at_rate(4e7)
     result, _ = transit_sequence(path, sched, HopWorkload())
     assert np.diff(result.departures) == pytest.approx(S_BITS / C, rel=1e-12)
@@ -91,8 +90,8 @@ def test_back_to_back_probes_leave_at_service_rate():
 def test_busy_link_constant_fluid_matches_oracle():
     # sigma=0, g_in <= S/C: measured strain equals the fluid oracle exactly
     y, u = 4e6, 1.25e7
-    trace = constant_trace(mu=y)
-    path = make_path(trace)
+    params = constant_traffic(mu=y)
+    path = make_path(params)
     sched = schedule_at_rate(u, m=21)
     result, _ = transit_sequence(path, sched, HopWorkload())
     strains = pair_strains(sched, result.departures)
@@ -103,8 +102,8 @@ def test_busy_link_constant_fluid_matches_oracle():
 def test_moderate_rate_constant_fluid_converges_to_oracle():
     # A < u < C: once the queue stays busy the strain sits on the oracle line
     y, u = 4e6, 8e6  # A = 6e6 < u < C
-    trace = constant_trace(mu=y, horizon=30.0)
-    path = make_path(trace)
+    params = constant_traffic(mu=y, horizon=30.0)
+    path = make_path(params)
     sched = schedule_at_rate(u, m=201)
     result, _ = transit_sequence(path, sched, HopWorkload())
     strains = pair_strains(sched, result.departures)
@@ -117,7 +116,7 @@ def test_moderate_rate_constant_fluid_converges_to_oracle():
 # -- transit: bookkeeping invariants -------------------------------------------
 
 def test_fifo_and_service_floor():
-    path = make_path(fbm_trace(seed=3))
+    path = make_path(fbm_traffic(seed=3))
     state = HopWorkload()
     for k in range(10):
         cfg = SequenceConfig(m=18, p=2, packet_size=1500.0, rate_min=1e6, rate_max=1.2e7)
@@ -130,7 +129,7 @@ def test_fifo_and_service_floor():
 
 
 def test_work_conservation_and_idle_bounds():
-    path = make_path(fbm_trace(seed=5))
+    path = make_path(fbm_traffic(seed=5))
     state = HopWorkload()
     t_end = 0.0
     for k in range(10):
@@ -143,8 +142,8 @@ def test_work_conservation_and_idle_bounds():
 
 def test_queue_persists_across_sequences():
     y, u = 4e6, 1.2e7
-    trace = constant_trace(mu=y, horizon=10.0)
-    path = make_path(trace)
+    params = constant_traffic(mu=y, horizon=10.0)
+    path = make_path(params)
     sched1 = schedule_at_rate(u, m=21, t_start=0.0)
     _, carried = transit_sequence(path, sched1, HopWorkload())
     assert carried.w > 0.0
@@ -157,7 +156,7 @@ def test_queue_persists_across_sequences():
 
 
 def test_transit_rejects_bad_inputs():
-    path = make_path(constant_trace(mu=0.0, horizon=5.0))
+    path = make_path(constant_traffic(mu=0.0, horizon=5.0))
     sched = schedule_at_rate(5e6, t_start=1.0)
     with pytest.raises(ValueError):
         transit_sequence(path, sched, HopWorkload(t=2.0))  # starts in the past
@@ -167,8 +166,8 @@ def test_transit_rejects_bad_inputs():
 
 
 def test_true_ab_constant_fluid():
-    trace = constant_trace(mu=4e6)
-    path = make_path(trace)
+    params = constant_traffic(mu=4e6)
+    path = make_path(params)
     result, _ = transit_sequence(path, schedule_at_rate(8e6), HopWorkload())
     assert result.true_ab == pytest.approx(6e6, rel=1e-9)
 
@@ -177,8 +176,8 @@ def test_true_ab_constant_fluid():
 
 def test_bounds_equality_case():
     y, u = 4e6, 1.25e7  # g_in = 9.6e-4 <= S/C = 1.2e-3
-    trace = constant_trace(mu=y)
-    path = make_path(trace)
+    params = constant_traffic(mu=y)
+    path = make_path(params)
     sched = schedule_at_rate(u, m=21)
     result, _ = transit_sequence(path, sched, HopWorkload())
     (report,) = strain_bounds_check(result, path, sched)
@@ -191,8 +190,8 @@ def test_bounds_equality_case():
 
 def test_bounds_idle_path():
     # strain 0 sits inside [y/C - 1, y/C + S/(g_in C)] when y=0 and g_in > S/C
-    trace = constant_trace(mu=0.0)
-    path = make_path(trace)
+    params = constant_traffic(mu=0.0)
+    path = make_path(params)
     sched = schedule_at_rate(5e6, m=11)
     result, _ = transit_sequence(path, sched, HopWorkload())
     (report,) = strain_bounds_check(result, path, sched)
@@ -203,7 +202,7 @@ def test_bounds_idle_path():
 
 
 def test_bounds_hold_on_random_fbm_scenario():
-    path = make_path(fbm_trace(seed=21, horizon=60.0))
+    path = make_path(fbm_traffic(seed=21, horizon=60.0))
     state = HopWorkload()
     rng = np.random.default_rng(77)
     checked = 0
@@ -219,7 +218,7 @@ def test_bounds_hold_on_random_fbm_scenario():
 
 @given(seed=st.integers(0, 50), m=st.integers(5, 30), u_frac=st.floats(0.2, 3.0))
 def test_departures_strictly_increasing_property(seed, m, u_frac):
-    path = make_path(fbm_trace(seed=seed, horizon=5.0))
+    path = make_path(fbm_traffic(seed=seed, horizon=5.0))
     sched = schedule_at_rate(u_frac * C, m=m, t_start=0.1)
     result, state = transit_sequence(path, sched, HopWorkload())
     assert np.all(np.diff(result.departures) > 0)
@@ -232,7 +231,7 @@ def test_departures_strictly_increasing_property(seed, m, u_frac):
 def reference_advance(path, w, t0, t1):
     """Workload from t0 to t1, grid cell by grid cell, so it assumes nothing
     about the fluid rate: (workload at t1, idle time)."""
-    c, dt = path.capacity, path.traffic.params.dt
+    c, dt = path.capacity, path.params.dt
     idle = 0.0
     t = t0
     while t < t1 - 1e-15:
@@ -279,12 +278,12 @@ def run_schedule(n, spacing, rate_min, rate_max, m=22, p=3, seed=5):
 def test_run_transit_matches_per_packet_reference(case, reset_queue):
     if case == "bursty":
         # fluid bursts far above C, so the rate ceiling binds often
-        path = make_path(fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=12.0))
+        path = make_path(fbm_traffic(seed=11, sigma=4e6, mu=9e6, horizon=12.0))
         assert path.cap_fraction > 0.1
         sched = run_schedule(50, 0.2, 6e6, 3e7)
     else:
         # heavy load and 0.1 s spacing, so some sequences start on a backlog
-        path = make_path(fbm_trace(seed=4, mu=8.5e6, sigma=1e6, horizon=12.0))
+        path = make_path(fbm_traffic(seed=4, mu=8.5e6, sigma=1e6, horizon=12.0))
         sched = run_schedule(60, 0.1, 6e6, 3e7)
     send = sched.send_times
     result, state = transit_sequence(path, sched, HopWorkload(), reset_queue)
@@ -306,20 +305,29 @@ def test_run_transit_matches_per_packet_reference(case, reset_queue):
 @pytest.mark.parametrize("ceiling", [0.5 * C, 0.95 * C, 3.0 * C])
 @pytest.mark.parametrize("horizon", [3e-4, 0.75, 2.0])
 def test_effective_volume_bit_identical_to_reference(monkeypatch, ceiling, horizon):
-    # the same trace against a rate ceiling below, near and far above its
-    # mean rate, each set by the capacity; the cap is counted and applied
-    # in blocks of the default size and of 4 points
-    trace = fbm_trace(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
-    dt = trace.params.dt
-    inc = np.diff(trace.cum_grid)
+    # the same traffic against a rate ceiling below, near and far above its
+    # mean rate, each set by the capacity; the cap is counted and applied in
+    # blocks of the default size and of 4 points, against the clamped volume
+    # synthesized at that block size
+    params = fbm_traffic(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
+    dt = params.dt
     for block in (fbm._BLOCK, 4):
         monkeypatch.setattr(fbm, "_BLOCK", block)
-        path = make_path(trace, capacity=ceiling / RATE_CEILING)
+        monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+        inc = np.diff(generate_trace(params).volume)
+        path = make_path(params, capacity=ceiling / RATE_CEILING)
         capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
         assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
         assert path.cap_fraction == float(np.mean(capped < inc))
         assert type(path.cap_fraction) is float
         assert path.max_fluid_rate == float(capped.max() / dt)
         assert path.max_fluid_rate < path.capacity
-    if ceiling < C and trace.n > 2:
+    if ceiling < C and len(inc) > 1:
         assert 0.0 < path.cap_fraction < 1.0  # the cap bites
+
+
+@pytest.mark.parametrize("capacity", [0.0, -1.0, float("nan"), float("inf")])
+def test_path_rejects_bad_capacity(monkeypatch, capacity):
+    monkeypatch.setattr(abprobe.path, "generate_trace", None)  # fails if reached
+    with pytest.raises(ValueError, match="capacity must be a finite number > 0"):
+        make_path(constant_traffic(mu=0.0), capacity=capacity)
