@@ -3,10 +3,11 @@
 The cumulative cross-traffic volume is b(t) = mu*t + sigma*omega(t), where
 omega is standard fBm with Var(omega(t)) = |t|^(2H).  Raw b(t) can decrease
 (omega is signed); traffic volumes cannot, so a trace is the monotone clamp
-b~(t) = max_{s<=t} max(0, b(s)) on its sample grid, built over omega in the
-synthesis's own array.  The path (abprobe.path.PathModel) caps that same
-array into the one traffic volume it keeps, and answers every volume and
-rate query.
+b~(t) = max_{s<=t} max(0, b(s)) on its sample grid, with its increments
+capped at a ceiling the caller gives (the path's, a fraction of its
+capacity).  omega's running sum, the clamp and the cap are one blocked pass
+over the synthesis's own array, which the path (abprobe.path.PathModel)
+keeps as its one traffic volume to answer every volume and rate query.
 
 omega comes from exact Davies-Harte synthesis.  One length-m real inverse
 transform serves both the embedding's eigenvalues and the synthesis: a
@@ -21,14 +22,14 @@ arrays, per embedding point:
   which then shrinks in place to the 4 B spectral scale;
 - the synthesis: 12 B, the normals drawn straight into an 8 B buffer beside
   the cached 4 B scale; the pre-pass, the FFT and the lead shift work in it;
-- the trace: the buffer shrinks in place to the samples (4 B), and omega's
-  running sum and the clamp are built over them.
+- the trace: the buffer shrinks in place to the samples (4 B), and one
+  pass builds omega's running sum, the clamp and the cap over them.
 
 Beside these, every pass (the normal draw, the covariance build, the
-pre-pass, the twiddle, the running sum, the clamp and the path's cap) works
-a block of at most _BLOCK points at a time through block buffers it makes
-once per call, so its temporaries are O(_BLOCK) whatever the grid's shape:
-about 1 MiB at the default _BLOCK.
+pre-pass, the twiddle and the volume pass) works a block of at most _BLOCK
+points at a time through block buffers it makes once per call, so its
+temporaries are O(_BLOCK) whatever the grid's shape: about 1 MiB at the
+default _BLOCK.
 """
 
 from __future__ import annotations
@@ -355,7 +356,7 @@ def _roots(k: np.ndarray, order: int) -> np.ndarray:
 
 
 # points per block of the normal draw, the covariance build, _irfft's
-# passes, the running sum, the clamp and the path's cap
+# passes and the volume pass
 _BLOCK = 1 << 14
 
 
@@ -420,6 +421,9 @@ class FbmParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
+        for name in ("sigma", "mu", "dt", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if self.mu < 0.0:
@@ -436,33 +440,52 @@ class FbmParams:
 
 @dataclass(frozen=True, eq=False)
 class FbmTrace:
-    """The monotone clamp b~(t) = max_{s<=t} max(0, b(s)) on the dt grid,
-    in the synthesis's own array (volume), and the fraction of grid points
-    where the clamp altered b(t).  The path that asks for a trace
-    (abprobe.path.PathModel) builds its effective volume in that same array,
-    so a run keeps one whole-trace copy of its traffic volume."""
+    """The effective cross-traffic volume on the dt grid, in the synthesis's
+    own array (volume): the monotone clamp b~(t) = max_{s<=t} max(0, b(s)),
+    its grid increments capped at the ceiling generate_trace was given.
+    clamp_fraction is the fraction of grid points where the clamp altered
+    b(t), cap_fraction the fraction of increments the cap cut and max_rate
+    the highest rate the volume reaches on the grid (at most the ceiling).
+    The path that asks for a trace (abprobe.path.PathModel) keeps that
+    array as its one whole-trace copy of the traffic volume."""
 
     params: FbmParams
     volume: np.ndarray
     clamp_fraction: float
+    cap_fraction: float
+    max_rate: float
 
     @property
     def n(self) -> int:
         return len(self.volume)
 
 
-def _clamp(params: FbmParams, omega: np.ndarray) -> float:
-    """omega becomes the monotone clamp of raw = mu*t + sigma*omega in
-    place, a block at a time through block buffers made once; `top` (>= 0)
-    is the clamp so far.  Returns the fraction of grid points where the
-    clamp altered raw."""
-    n = omega.shape[0]
+def _volume(params: FbmParams, buf: np.ndarray, max_rate: float) -> tuple[float, float, float]:
+    """buf, a lead zero and then the fGn increments, becomes the effective
+    volume in place, a block at a time through block buffers made once:
+    omega (the increments times dt^H, summed), the monotone clamp of
+    raw = mu*t + sigma*omega, and that clamp's increments capped at
+    max_rate*dt and summed back up.  Returns the fraction of grid points
+    where the clamp altered raw, the fraction of increments the cap cut and
+    the highest capped rate.
+
+    A block carries in omega's sum so far (`total`), the clamp so far
+    (`top`, >= 0, also the level its first increment is taken from) and the
+    volume so far (`volume`): each block's first element takes a sum so
+    far, which leaves every addition the same as one cumsum's."""
+    n = len(buf)
+    step, cap = params.dt**params.hurst, max_rate * params.dt
     size = min(n, _BLOCK)
-    ks, raw, above = np.arange(float(size)), np.empty(size), np.empty(size, bool)
-    top, clamped = 0.0, 0
+    ks, raw, hit = np.arange(float(size)), np.empty(size), np.empty(size, bool)
+    total = top = volume = steepest = 0.0
+    clamped = capped = 0
     for s in range(0, n, _BLOCK):
-        c = omega[s : s + _BLOCK]
-        r = raw[: len(c)]
+        c = buf[s : s + _BLOCK]
+        r, h = raw[: len(c)], hit[: len(c)]
+        c *= step
+        c[0] += total
+        np.cumsum(c, out=c)
+        total = c[-1]
         np.add(ks[: len(c)], s, out=r)
         r *= params.dt
         r *= params.mu
@@ -470,27 +493,29 @@ def _clamp(params: FbmParams, omega: np.ndarray) -> float:
         r += c
         np.maximum(r, top, out=c)
         np.maximum.accumulate(c, out=c)
-        clamped += np.count_nonzero(np.greater(c, r, out=above[: len(c)]))
+        clamped += np.count_nonzero(np.greater(c, r, out=h))
+        r[0] = top  # r now holds each point's previous clamped level
+        r[1:] = c[:-1]
         top = c[-1]
-    return clamped / n
+        c -= r
+        capped += np.count_nonzero(np.greater(c, cap, out=h))
+        np.minimum(c, cap, out=c)
+        steepest = max(steepest, c.max())
+        c[0] += volume
+        np.cumsum(c, out=c)
+        volume = c[-1]
+    return float(clamped / n), float(capped / (n - 1)), float(steepest / params.dt)
 
 
-def generate_trace(params: FbmParams) -> FbmTrace:
-    """Synthesize omega on the dt grid and clamp its volume; bit-for-bit
-    reproducible per seed.
+def generate_trace(params: FbmParams, max_rate: float) -> FbmTrace:
+    """Synthesize the effective volume on the dt grid, its increments capped
+    at max_rate (bits/s); bit-for-bit reproducible per seed.
 
-    omega is the increments' running sum, built in the synthesis's own
-    array, a block at a time; each block's first element takes the sum so
-    far, which leaves every addition the same as one cumsum's.  The clamp
-    is then built over omega in place, so omega itself is not kept."""
+    omega's running sum, the clamp and the cap are one blocked pass
+    (_volume) over the synthesis's own array, so neither omega nor the
+    clamp is kept."""
+    if not max_rate > 0.0:
+        raise ValueError(f"max_rate must be > 0, got {max_rate}")
     rng = np.random.default_rng(params.seed)
-    omega = _fgn(params.n_samples - 1, params.hurst, rng, 1)
-    step = params.dt**params.hurst
-    total = 0.0
-    for s in range(0, len(omega), _BLOCK):
-        b = omega[s : s + _BLOCK]
-        b *= step
-        b[0] += total
-        np.cumsum(b, out=b)
-        total = b[-1]
-    return FbmTrace(params, omega, _clamp(params, omega))
+    buf = _fgn(params.n_samples - 1, params.hurst, rng, 1)
+    return FbmTrace(params, buf, *_volume(params, buf, max_rate))

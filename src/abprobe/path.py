@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fbm
 from .fbm import FbmParams, generate_trace
 from .probing import ProbeSchedule
 
@@ -80,16 +79,16 @@ class TransitResult:
 class PathModel:
     """Bottleneck capacity plus the effective fluid arrival process.
 
-    The path synthesizes the trace of params (fbm.generate_trace), the
-    monotone clamp of b(t) = mu*t + sigma*omega(t), and rate-caps it in the
-    trace's own array at RATE_CEILING * capacity, so the bottleneck keeps
-    positive residual bandwidth and the path keeps one traffic volume.
-    clamp_fraction reports how often the clamp altered b(t), cap_fraction
-    how often the cap bit and max_fluid_rate the highest capped rate on the
-    grid.  This effective volume answers every cross-traffic volume and
-    rate query (cumulative_cross_bits, cross_rate).  Immutable after
-    construction, so runs of the same traffic and capacity may share one
-    path.
+    The path computes only its rate ceiling, RATE_CEILING * capacity, and
+    asks fbm.generate_trace for the trace of params at that ceiling: the
+    monotone clamp of b(t) = mu*t + sigma*omega(t), rate-capped in the
+    same pass, so the bottleneck keeps positive residual bandwidth.  The
+    path keeps the trace's array as its one traffic volume.  clamp_fraction
+    reports how often the clamp altered b(t), cap_fraction how often the
+    cap bit and max_fluid_rate the highest capped rate on the grid.  This
+    effective volume answers every cross-traffic volume and rate query
+    (cumulative_cross_bits, cross_rate).  Immutable after construction, so
+    runs of the same traffic and capacity may share one path.
     """
 
     def __init__(self, capacity: float, params: FbmParams):
@@ -97,9 +96,10 @@ class PathModel:
             raise ValueError(f"capacity must be a finite number > 0, got {capacity}")
         self.capacity = float(capacity)
         self.params = params
-        trace = generate_trace(params)
+        trace = generate_trace(params, RATE_CEILING * self.capacity)
         self.clamp_fraction = trace.clamp_fraction
-        self.cap_fraction, self.max_fluid_rate = _cap(trace.volume, params.dt, self.capacity)
+        self.cap_fraction = trace.cap_fraction
+        self.max_fluid_rate = trace.max_rate
         trace.volume.flags.writeable = False
         self._eff = trace.volume
         self._horizon = (trace.n - 1) * params.dt
@@ -111,7 +111,8 @@ class PathModel:
     def cumulative_cross_bits(self, t):
         """Effective (clamped, capped) cumulative cross-traffic bits at t."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < -1e-9) or np.any(t_arr > self._horizon * (1 + 1e-12) + 1e-9):
+        # written so that NaN, which fails every comparison, is outside too
+        if not np.all((t_arr >= -1e-9) & (t_arr <= self._horizon * (1 + 1e-12) + 1e-9)):
             raise ValueError(f"time outside traffic horizon [0, {self._horizon}]")
         pos = np.clip(t_arr / self.params.dt, 0.0, len(self._eff) - 1.0)
         j = np.minimum(pos.astype(np.int64), len(self._eff) - 2)
@@ -122,42 +123,11 @@ class PathModel:
     def cross_rate(self, t: float, delta):
         """Mean effective cross rate over [t, t+delta] (bits/s); delta may be
         an array of windows."""
-        if np.any(np.asarray(delta) <= 0):
-            raise ValueError(f"delta must be > 0, got {delta}")
+        if not np.all((np.asarray(delta) > 0) & np.isfinite(delta)):
+            raise ValueError(f"delta must be a finite number > 0, got {delta}")
         return (
             self.cumulative_cross_bits(t + delta) - self.cumulative_cross_bits(t)
         ) / delta
-
-
-def _cap(cum: np.ndarray, dt: float, capacity: float) -> tuple[float, float]:
-    """The clamped volume cum becomes the effective volume in place: its grid
-    increments, capped at RATE_CEILING * capacity * dt, summed back up, a
-    block at a time through block buffers made once.  Returns the fraction
-    of increments the cap cut and the highest capped rate.
-
-    Each block's first increment is taken from the level the block before
-    ended at (`level`), and its first element takes the sum so far
-    (`total`), which leaves every addition the same as one cumsum's."""
-    n = len(cum)
-    cap = RATE_CEILING * capacity * dt
-    size = min(n, fbm._BLOCK)
-    prev, hit = np.empty(size), np.empty(size, bool)
-    level = top = total = 0.0  # the clamped grid starts at 0 and never falls
-    capped = 0
-    for s in range(0, n, fbm._BLOCK):
-        c = cum[s : s + fbm._BLOCK]
-        p = prev[: len(c)]
-        p[0] = level
-        p[1:] = c[:-1]
-        level = c[-1]
-        c -= p
-        capped += np.count_nonzero(np.greater(c, cap, out=hit[: len(c)]))
-        np.minimum(c, cap, out=c)
-        top = max(top, c.max())
-        c[0] += total
-        np.cumsum(c, out=c)
-        total = c[-1]
-    return float(capped / (n - 1)), float(top / dt)
 
 
 def transit_sequence(

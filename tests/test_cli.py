@@ -17,7 +17,7 @@ FAST = ["--sequences", "20", "--seed", "3"]
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def refuse(params):
+def refuse(*args):
     raise AssertionError("trace synthesis reached")
 
 

@@ -22,7 +22,7 @@ from abprobe.path import HopWorkload, PathModel, transit_sequence
 from abprobe.probing import build_schedule, draw_portion_rates
 
 
-def refuse(params):
+def refuse(*args):
     raise AssertionError("trace synthesis reached")
 
 

@@ -1,4 +1,5 @@
 import cProfile
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from abprobe.fbm import (
     fgn_davies_harte,
     generate_trace,
 )
-from abprobe.path import PathModel, _cap
+from abprobe.path import RATE_CEILING, PathModel
 
 
 def make_params(**kw):
@@ -27,11 +28,16 @@ def make_params(**kw):
     return FbmParams(**base)
 
 
-def omega_of(params):
-    """The omega samples generate_trace(params) builds its clamped volume
-    from (the trace keeps only the volume), bit for bit."""
+def increments_of(params):
+    """A lead zero, then the fGn increments generate_trace(params, max_rate)
+    builds its volume from (the trace keeps only the volume), bit for bit."""
     incr = fgn_davies_harte(params.n_samples - 1, params.hurst, np.random.default_rng(params.seed))
-    return np.concatenate([[0.0], np.cumsum(incr * params.dt**params.hurst)])
+    return np.concatenate([[0.0], incr])
+
+
+def omega_of(params):
+    """The omega samples the volume pass sums from the increments, bit for bit."""
+    return np.cumsum(increments_of(params) * params.dt**params.hurst)
 
 
 @pytest.fixture
@@ -62,35 +68,54 @@ def test_rejects_bad_hurst(hurst):
         make_params(hurst=hurst)
 
 
+@pytest.mark.parametrize("field", ["sigma", "mu"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_rejects_bad_sigma_and_mu(field, value):
+    with pytest.raises(ValueError, match=field):
+        make_params(**{field: value})
+
+
 def test_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
         make_params(dt=0.0)
     with pytest.raises(ValueError):
         make_params(dt=-1.0)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            make_params(dt=dt)
 
 
 def test_rejects_horizon_below_dt():
     with pytest.raises(ValueError):
         make_params(dt=1.0, horizon=0.5)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            make_params(horizon=horizon)
 
 
 def test_sample_count():
     assert make_params(dt=0.5, horizon=4.0).n_samples == 9
-    assert generate_trace(make_params(dt=0.5, horizon=4.0)).n == 9
+    assert generate_trace(make_params(dt=0.5, horizon=4.0), math.inf).n == 9
+
+
+@pytest.mark.parametrize("max_rate", [0.0, -1.0, math.nan])
+def test_trace_rejects_bad_ceiling(max_rate):
+    with pytest.raises(ValueError, match="max_rate must be > 0"):
+        generate_trace(make_params(), max_rate)
 
 
 # -- determinism -------------------------------------------------------------
 
 def test_trace_deterministic_under_seed():
     p = make_params(seed=1234, dt=0.25, horizon=10.0)
-    a = generate_trace(p)
-    b = generate_trace(p)
+    a = generate_trace(p, 3.0)
+    b = generate_trace(p, 3.0)
     assert np.array_equal(omega_of(p), omega_of(p))
     assert np.array_equal(a.volume, b.volume)
-    # clamped over its omega samples, a trace has the same volume
-    omega = omega_of(p)
-    assert fbm._clamp(p, omega) == a.clamp_fraction
-    assert np.array_equal(omega, a.volume)
+    # built over its increments, a trace has the same volume
+    buf = increments_of(p)
+    assert fbm._volume(p, buf, 3.0) == (a.clamp_fraction, a.cap_fraction, a.max_rate)
+    assert np.array_equal(buf, a.volume)
 
 
 def test_different_seeds_differ():
@@ -102,7 +127,7 @@ def test_different_seeds_differ():
 def test_omega_starts_at_zero():
     # b(0) = sigma*omega(0) clamps to 0
     assert omega_of(make_params())[0] == 0.0
-    assert generate_trace(make_params()).volume[0] == 0.0
+    assert generate_trace(make_params(), math.inf).volume[0] == 0.0
 
 
 # -- distributional fidelity --------------------------------------------------
@@ -187,12 +212,13 @@ def test_cumulative_bits_deterministic_fluid():
 
 
 def test_monotone_clamp_by_hand(monkeypatch):
-    # mu=1, sigma=1, omega(1) = -2: raw b(1) = -1 -> clamped to 0
+    # mu=1, sigma=1, increments [-2, 3] at dt=1, so omega(1) = -2: raw
+    # b(1) = -1 -> clamped to 0; the path's ceiling, 9.5, is never reached
     p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
-    omega = np.array([0.0, -2.0, 1.0])
-    trace = FbmTrace(p, omega, fbm._clamp(p, omega))
+    volume = np.array([0.0, -2.0, 3.0])
+    trace = FbmTrace(p, volume, *fbm._volume(p, volume, 9.5))
     assert trace.volume.tolist() == [0.0, 0.0, 3.0]
-    monkeypatch.setattr(abprobe.path, "generate_trace", lambda params: trace)
+    monkeypatch.setattr(abprobe.path, "generate_trace", lambda params, max_rate: trace)
     path = PathModel(10.0, p)
     assert path.cumulative_cross_bits(1.0) == 0.0
     assert path.cumulative_cross_bits(0.5) == 0.0  # between two clamped grid points of 0
@@ -217,6 +243,10 @@ def test_query_domain_errors():
         path.cumulative_cross_bits(-0.5)
     with pytest.raises(ValueError):
         path.cumulative_cross_bits(5.0)
+    with pytest.raises(ValueError, match="time outside"):
+        path.cumulative_cross_bits(math.nan)
+    with pytest.raises(ValueError, match="delta must be"):
+        path.cross_rate(1.0, math.nan)
     with pytest.raises(ValueError):
         path.cross_rate(3.0, 2.0)
     with pytest.raises(ValueError):
@@ -228,7 +258,7 @@ def test_query_domain_errors():
 def test_trace_generation_at_awkward_sizes():
     # embedding sizes must stay even 5-smooth; n_incr=70000 once tripped this
     p = make_params(dt=3e-4, horizon=21.0, seed=0)
-    assert generate_trace(p).n == p.n_samples == 70001
+    assert generate_trace(p, math.inf).n == p.n_samples == 70001
 
 
 def test_fgn_rejects_bad_args():
@@ -294,7 +324,7 @@ def reference_trace(params):
 
 
 def assert_trace_matches_reference(params):
-    tr = generate_trace(params)
+    tr = generate_trace(params, math.inf)
     omega, raw, cum = reference_trace(params)
     tol = OMEGA_RTOL * np.abs(omega).max()
     assert np.abs(omega_of(params) - omega).max() <= tol
@@ -414,21 +444,35 @@ def test_blocked_covariance_build_equals_whole_array_formula(set_block, block, h
     assert not im.reshape(-1)[1:].any()
 
 
-def test_blocked_clamp_build_equals_whole_array_formula(set_block):
-    # bit for bit, with the running clamp carried across blocks of 4 points
-    set_block(4)
-    p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
-    omega = omega_of(p)
+@pytest.mark.parametrize("block", [3, 4, None])
+def test_volume_equals_whole_array_formula(set_block, block):
+    # bit for bit, with omega's sum, the clamp and the capped volume carried
+    # across blocks; at the default block the trace spans four blocks
+    n = 201 if block else 3 * fbm._BLOCK + 201
+    p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=0.1 * (n - 1), seed=5)
+    incr = increments_of(p)
+    if block is not None:
+        set_block(block)
     raw = np.arange(p.n_samples, dtype=float)
     raw *= p.dt
     raw *= p.mu
-    raw += p.sigma * omega
+    raw += p.sigma * np.cumsum(incr * p.dt**p.hurst)
     cum = np.maximum.accumulate(np.maximum(raw, 0.0))
-    clamp_fraction = fbm._clamp(p, omega)
-    assert np.array_equal(omega, cum)
-    assert clamp_fraction == float(np.mean(cum > raw))
+    inc = np.diff(cum)
+    into = np.arange(fbm._BLOCK, p.n_samples, fbm._BLOCK) - 1  # the steps into a block
     # the clamp binds across a block boundary at a level set in the block before
-    assert any(cum[b] > raw[b] and cum[b] == cum[b - 1] > 0.0 for b in range(4, p.n_samples, 4))
+    assert any(cum[b] > raw[b] and cum[b] == cum[b - 1] > 0.0 for b in into + 1)
+    # a ceiling that some step into a block crosses, and none
+    for max_rate in (0.5 * inc[into].max() / p.dt, math.inf):
+        capped = np.minimum(inc, max_rate * p.dt)
+        buf = incr.copy()
+        fractions = fbm._volume(p, buf, max_rate)
+        assert np.array_equal(buf, np.concatenate([[0.0], np.cumsum(capped)]))
+        assert fractions == (
+            float(np.mean(cum > raw)), float(np.mean(capped < inc)), float(capped.max() / p.dt)
+        )
+        assert all(type(f) is float for f in fractions)
+        assert np.any(capped[into] < inc[into]) == (max_rate < math.inf)
 
 
 # -- the output in the transform's own buffer -----------------------------------
@@ -520,12 +564,12 @@ def test_trace_built_through_wrapped_calls(monkeypatch):
     # in-place shrink
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
-    want = generate_trace(p).volume
+    want = generate_trace(p, math.inf).volume
     for name in ("_irfft", "_fgn"):
         inner = getattr(fbm, name)
         monkeypatch.setattr(fbm, name, lambda *args, inner=inner: inner(*args))
     fbm._SCALE_CACHE.clear()  # the eigenvalues take the wrapped path too
-    assert np.array_equal(generate_trace(p).volume, want)
+    assert np.array_equal(generate_trace(p, math.inf).volume, want)
 
 
 @pytest.mark.parametrize("hook", ["settrace", "setprofile", "cProfile"])
@@ -535,10 +579,10 @@ def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
     # shrink refuses; the trace is then built in a copy, the same bit for bit
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
-    want = generate_trace(p).volume
+    want = generate_trace(p, math.inf).volume
     fbm._SCALE_CACHE.clear()  # the eigenvalues are built under the hook too
     if hook == "cProfile":
-        got = cProfile.Profile().runcall(generate_trace, p).volume
+        got = cProfile.Profile().runcall(generate_trace, p, math.inf).volume
     else:
         set_hook, previous = getattr(sys, hook), getattr(sys, "get" + hook[3:])()
 
@@ -547,7 +591,7 @@ def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
 
         set_hook(hook_fn)
         try:
-            got = generate_trace(p).volume
+            got = generate_trace(p, math.inf).volume
         finally:
             set_hook(previous)
     assert np.array_equal(got, want)
@@ -556,28 +600,29 @@ def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
 
 @pytest.mark.parametrize("exact", [False, True])
 def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, set_block, exact):
-    # bit for bit, in blocks of 4 points: the running sum and the clamp over
-    # the synthesis's own array, and the path's cap over the same array,
-    # against the same passes over a copy of omega
+    # bit for bit, in blocks of 4 points: the volume pass over the
+    # synthesis's own array, as generate_trace and as the path run it,
+    # against the same pass over a copy of the increments
     set_block(4)
     if exact:
         monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
     for n in (2, 3, 9, 14, 16, 201):
         p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=0.1 * (n - 1), seed=n)
-        tr = generate_trace(p)
-        ref = omega_of(p)
-        assert tr.clamp_fraction == fbm._clamp(p, ref)
+        ceiling = RATE_CEILING * 3.0  # a rate ceiling the clamp's steps cross
+        tr = generate_trace(p, ceiling)
+        ref = increments_of(p)
+        fractions = fbm._volume(p, ref, ceiling)
+        assert (tr.clamp_fraction, tr.cap_fraction, tr.max_rate) == fractions
         assert np.array_equal(tr.volume, ref)
         assert_owns_its_bytes(tr.volume, n)
-        # omega itself, before the clamp hides it where the clamp binds
+        # the increments, before the volume pass hides them
         with monkeypatch.context() as m:
-            m.setattr(fbm, "_clamp", lambda params, omega: 0.0)
-            assert np.array_equal(generate_trace(p).volume, omega_of(p))
-        path = PathModel(3.0, p)  # a rate ceiling the clamp's steps cross
-        fractions = _cap(ref, p.dt, 3.0)
+            m.setattr(fbm, "_volume", lambda params, buf, max_rate: (0.0, 0.0, 0.0))
+            assert np.array_equal(generate_trace(p, ceiling).volume, increments_of(p))
+        path = PathModel(3.0, p)
         assert np.array_equal(path._eff, ref)
         assert path.clamp_fraction == tr.clamp_fraction
-        assert (path.cap_fraction, path.max_fluid_rate) == fractions
+        assert (path.cap_fraction, path.max_fluid_rate) == fractions[1:]
         assert_owns_its_bytes(path._eff, n)
         assert not path._eff.flags.writeable
 
@@ -652,7 +697,7 @@ def test_traced_build_fits_its_estimate(monkeypatch):
     n = 2**20 + 1
     p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
     monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
-    generate_trace(p)
+    generate_trace(p, math.inf)
     (scale,) = fbm._SCALE_CACHE.values()
     untraced = fbm.peak_bytes([(n, p.hurst)])
 
@@ -664,7 +709,7 @@ def test_traced_build_fits_its_estimate(monkeypatch):
     try:
         estimate = fbm.peak_bytes([(n, p.hurst)])
         tracemalloc.start()
-        generate_trace(p)
+        generate_trace(p, math.inf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -691,7 +736,7 @@ def test_trace_build_peak_rss_per_embedding_point():
         "n = 2**21 + 1\n"
         "p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1))\n"
         "base = peak_kib()\n"
-        "generate_trace(p)\n"
+        "generate_trace(p, float('inf'))\n"
         "print((peak_kib() - base) * 1024 / _next_fast_len(2 * (n - 1)))\n"
     )
     src = str(Path(fbm.__file__).resolve().parents[1])

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import abprobe.path
-from abprobe import fbm
-from abprobe.fbm import FbmParams, generate_trace
+from abprobe.fbm import FbmParams
 from abprobe.path import (
     RATE_CEILING,
     HopWorkload,
@@ -16,6 +15,7 @@ from abprobe.path import (
     transit_sequence,
 )
 from abprobe.probing import SequenceConfig, build_schedule, draw_portion_rates, pair_strains
+from test_fbm import omega_of
 
 C = 1e7
 S_BITS = 12000.0
@@ -304,24 +304,25 @@ def test_run_transit_matches_per_packet_reference(case, reset_queue):
 
 @pytest.mark.parametrize("ceiling", [0.5 * C, 0.95 * C, 3.0 * C])
 @pytest.mark.parametrize("horizon", [3e-4, 0.75, 2.0])
-def test_effective_volume_bit_identical_to_reference(monkeypatch, ceiling, horizon):
+def test_effective_volume_bit_identical_to_reference(ceiling, horizon):
     # the same traffic against a rate ceiling below, near and far above its
-    # mean rate, each set by the capacity; the cap is counted and applied in
-    # blocks of the default size and of 4 points, against the clamped volume
-    # synthesized at that block size
+    # mean rate, each set by the capacity, against the clamp of the trace's
+    # omega by whole-array steps (tests/test_fbm.py checks the blocked pass
+    # at other block sizes)
     params = fbm_traffic(seed=11, sigma=4e6, mu=9e6, horizon=horizon)
     dt = params.dt
-    for block in (fbm._BLOCK, 4):
-        monkeypatch.setattr(fbm, "_BLOCK", block)
-        monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
-        inc = np.diff(generate_trace(params).volume)
-        path = make_path(params, capacity=ceiling / RATE_CEILING)
-        capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
-        assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
-        assert path.cap_fraction == float(np.mean(capped < inc))
-        assert type(path.cap_fraction) is float
-        assert path.max_fluid_rate == float(capped.max() / dt)
-        assert path.max_fluid_rate < path.capacity
+    raw = np.arange(params.n_samples, dtype=float)
+    raw *= dt
+    raw *= params.mu
+    raw += params.sigma * omega_of(params)
+    inc = np.diff(np.maximum.accumulate(np.maximum(raw, 0.0)))
+    path = make_path(params, capacity=ceiling / RATE_CEILING)
+    capped = np.minimum(inc, RATE_CEILING * path.capacity * dt)
+    assert np.array_equal(path._eff, np.concatenate([[0.0], np.cumsum(capped)]))
+    assert path.cap_fraction == float(np.mean(capped < inc))
+    assert type(path.cap_fraction) is float
+    assert path.max_fluid_rate == float(capped.max() / dt)
+    assert path.max_fluid_rate < path.capacity
     if ceiling < C and len(inc) > 1:
         assert 0.0 < path.cap_fraction < 1.0  # the cap bites
 
