@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probing import balanced_portion_sizes
-
 __all__ = [
     "normalized_mse",
     "rp_theoretical",
@@ -68,11 +66,8 @@ class AnalyticParams:
     hurst       self-similarity index
     lam         process-noise level (normalized units)
     psi0        initial scalar error variance
-    m, p        packets per sequence, portions per sequence
-    rates       representative per-portion probe rates (bits/s); a scalar is
-                broadcast to all portions
-    packet_size probe packet size (bytes); needed to map rates to the
-                per-portion observation times
+    deltas      observation time of each portion (s), in portion order:
+                probing.SequenceConfig.portion_spans at representative rates
     n_sequences iteration/averaging horizon N
     """
 
@@ -81,31 +76,19 @@ class AnalyticParams:
     hurst: float
     lam: float
     psi0: float
-    m: int
-    p: int
-    rates: tuple[float, ...] | float
-    packet_size: float
+    deltas: tuple[float, ...]
     n_sequences: int = 1000
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "deltas", tuple(map(float, self.deltas)))
         if min(self.capacity, self.sigma, self.lam, self.psi0) < 0 or self.capacity == 0:
             raise ValueError("capacity must be positive; sigma, lam, psi0 nonnegative")
         if not 0 < self.hurst < 1:
             raise ValueError(f"hurst must lie in (0, 1), got {self.hurst}")
-        if self.m - 1 < 2 * self.p:
-            raise ValueError(f"need two pairs per portion: M={self.m}, P={self.p}")
-        if self.packet_size <= 0:
-            raise ValueError(f"packet_size must be > 0, got {self.packet_size}")
+        if not self.deltas or not min(self.deltas) > 0:
+            raise ValueError(f"need one or more portion deltas, all > 0, got {self.deltas}")
         if self.n_sequences < 1:
             raise ValueError(f"n_sequences must be >= 1, got {self.n_sequences}")
-
-    def portion_deltas(self) -> np.ndarray:
-        """Observation time per portion at the representative rates."""
-        rates = np.broadcast_to(np.asarray(self.rates, dtype=float), (self.p,))
-        if np.any(rates <= 0):
-            raise ValueError("rates must be positive")
-        sizes = np.asarray(balanced_portion_sizes(self.m - 1, self.p), dtype=float)
-        return sizes * 8.0 * self.packet_size / rates
 
 
 @dataclass(frozen=True)
@@ -124,13 +107,7 @@ def analytic_xi(params: AnalyticParams) -> AnalyticXiResult:
     (relative step below 1e-12) or after n_sequences, in which case the
     running average is reported and the result is flagged unconverged.
     """
-    deltas = params.portion_deltas()
-    r = np.array(
-        [
-            rp_theoretical(params.capacity, params.sigma, params.hurst, d)
-            for d in deltas
-        ]
-    )
+    r = [rp_theoretical(params.capacity, params.sigma, params.hurst, d) for d in params.deltas]
     psi = params.psi0
     total = 0.0
     converged = False

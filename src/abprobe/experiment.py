@@ -59,6 +59,11 @@ COMPARE_HEADER = ["method", "p", "m", "s", "initial_ab", "seed", "xi"]
 
 SEQUENCE_GAP = 1.0  # seconds between sequence starts
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+# peak bytes a run holds per probe beside its trace: seven N x M float64
+# arrays at once, the send times and the queue transit's working arrays.
+# tracemalloc's peak around run(cfg, path=...) measured 56.1-56.3 B per probe
+# at M=500, N=1000 and M=2000, N=500, with and without the event log.
+PROBE_BYTES = 56
 
 
 def _check_memory(peak: int, what: str) -> None:
@@ -67,7 +72,7 @@ def _check_memory(peak: int, what: str) -> None:
         raise ValueError(
             f"{what} needs about {peak / 2**30:.3g} GiB, more than the "
             f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory; raise "
-            "packet_size or dt, or lower sequences or capacity"
+            "packet_size or dt, or lower sequences, packets or capacity"
         )
 
 
@@ -213,10 +218,7 @@ class RunConfig:
             hurst=self.hurst,
             lam=self.lam,
             psi0=self.psi0,
-            m=self.packets,
-            p=self.portions,
-            rates=0.5 * (self.rate_min + self.rate_max),
-            packet_size=self.packet_size,
+            deltas=self.sequence_config().portion_spans(0.5 * (self.rate_min + self.rate_max)),
             n_sequences=self.sequences,
         )
 
@@ -280,7 +282,9 @@ def run(
     params = cfg.fbm_params()
     if path is None:
         n = params.n_samples
-        _check_memory(peak_bytes([(n, params.hurst)]), f"the {n}-sample traffic trace")
+        peak = peak_bytes([(n, params.hurst)]) + PROBE_BYTES * cfg.sequences * cfg.packets
+        what = f"a run of {cfg.sequences} sequences of {cfg.packets} packets on a {n}-sample trace"
+        _check_memory(peak, what)
         path = PathModel(cfg.capacity, params)
     elif (path.params, path.capacity) != (params, cfg.capacity):
         raise ValueError(
@@ -385,9 +389,11 @@ def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[
     cfgs = [replace(base, **v).finalize() for v in variants]
     # each worker process synthesizes its seeds' traces one after another
     traces = {(c.fbm_params().n_samples, c.hurst) for c in cfgs}
+    probes = max(c.sequences * c.packets for c in cfgs)
     workers = _pool_size(max_workers, len(seeds))
-    what = f"the ensemble of {len(traces)} traffic traces on {workers} worker(s)"
-    _check_memory(workers * peak_bytes(traces), what)
+    what = (f"the ensemble of {len(traces)} traffic traces on {workers} worker(s), "
+            f"with up to {probes} probes (sequences x packets) per run")
+    _check_memory(workers * (peak_bytes(traces) + PROBE_BYTES * probes), what)
     by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
     rows = []
     for idx, cfg in enumerate(cfgs):

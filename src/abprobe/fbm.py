@@ -449,7 +449,6 @@ class FbmTrace:
     The path that asks for a trace (abprobe.path.PathModel) keeps that
     array as its one whole-trace copy of the traffic volume."""
 
-    params: FbmParams
     volume: np.ndarray
     clamp_fraction: float
     cap_fraction: float
@@ -518,4 +517,4 @@ def generate_trace(params: FbmParams, max_rate: float) -> FbmTrace:
         raise ValueError(f"max_rate must be > 0, got {max_rate}")
     rng = np.random.default_rng(params.seed)
     buf = _fgn(params.n_samples - 1, params.hurst, rng, 1)
-    return FbmTrace(params, buf, *_volume(params, buf, max_rate))
+    return FbmTrace(buf, *_volume(params, buf, max_rate))

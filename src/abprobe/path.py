@@ -236,8 +236,8 @@ def strain_bounds_check(
     s_bits = schedule.config.packet_bits
     send = schedule.send_times.reshape(-1, schedule.config.m)
     dep = result.departures.reshape(send.shape)
-    sizes = np.asarray(schedule.config.portion_sizes)
-    edges = np.concatenate([[0], np.cumsum(sizes)])
+    edges = schedule.config.portion_edges
+    sizes = np.diff(edges)
     g_in = np.add.reduceat(np.diff(send), edges[:-1], axis=1) / sizes
     g_out = np.add.reduceat(np.diff(dep), edges[:-1], axis=1) / sizes
     strain = g_out / g_in - 1.0

@@ -77,10 +77,16 @@ class SequenceConfig:
     def portion_sizes(self) -> tuple[int, ...]:
         return balanced_portion_sizes(self.m - 1, self.p)
 
-    def portion_slices(self) -> list[slice]:
-        """Pair-index slice per portion."""
-        edges = np.concatenate([[0], np.cumsum(self.portion_sizes)])
-        return [slice(int(edges[i]), int(edges[i + 1])) for i in range(self.p)]
+    @property
+    def portion_edges(self) -> np.ndarray:
+        """P+1 pair-index boundaries: portion p spans pairs
+        edges[p]:edges[p+1]."""
+        return np.concatenate([[0], np.cumsum(self.portion_sizes)])
+
+    def portion_spans(self, rates) -> np.ndarray:
+        """Observation time of each portion at rates (..., P): the sum of its
+        pairs' gaps, sizes * packet_bits / rates."""
+        return np.asarray(self.portion_sizes, dtype=float) * self.packet_bits / rates
 
 
 @dataclass(frozen=True)
@@ -92,17 +98,6 @@ class ProbeSchedule:
     send_times: np.ndarray
     portion_rates: np.ndarray
     config: SequenceConfig
-
-    @property
-    def delta_p(self) -> np.ndarray:
-        """Per-portion observation time (span of the portion's gaps)."""
-        sizes = np.asarray(self.config.portion_sizes, dtype=float)
-        return sizes * self.config.packet_bits / self.portion_rates
-
-    @property
-    def delta_t(self):
-        """Total observation time: first-to-last packet span."""
-        return self.send_times[..., -1] - self.send_times[..., 0]
 
 
 def draw_portion_rates(
@@ -175,29 +170,25 @@ class StrainMeasurement:
         return self.z.shape[-1]
 
 
-def reduce_measurement(
-    strains: np.ndarray,
-    schedule: ProbeSchedule,
-    r_floor: float = R_FLOOR_DEFAULT,
-) -> StrainMeasurement:
+def reduce_measurement(strains: np.ndarray, schedule: ProbeSchedule) -> StrainMeasurement:
     """Portion means and (n-1)-denominator sample variances of pair strains.
 
     Variances are taken in two passes, as np.var does, and floored at
-    r_floor: a portion whose strains are all equal (typical when its rate is
-    below the available bandwidth) would otherwise be infinitely trusted by
-    the filter.
+    R_FLOOR_DEFAULT: a portion whose strains are all equal (typical when its
+    rate is below the available bandwidth) would otherwise be infinitely
+    trusted by the filter.
     """
     strains = np.asarray(strains, dtype=float)
     want = schedule.send_times.shape[:-1] + (schedule.config.m - 1,)
     if strains.shape != want:
         raise ValueError(f"expected pair strains shaped {want}, got {strains.shape}")
-    sizes = np.asarray(schedule.config.portion_sizes)
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
-    z = np.add.reduceat(strains, starts, axis=-1) / sizes
+    edges = schedule.config.portion_edges
+    sizes = np.diff(edges)
+    z = np.add.reduceat(strains, edges[:-1], axis=-1) / sizes
     dev = strains - np.repeat(z, sizes, axis=-1)
-    var = np.add.reduceat(dev * dev, starts, axis=-1) / (sizes - 1)
+    var = np.add.reduceat(dev * dev, edges[:-1], axis=-1) / (sizes - 1)
     return StrainMeasurement(
-        z=z, rates=schedule.portion_rates.copy(), r_diag=np.maximum(var, r_floor)
+        z=z, rates=schedule.portion_rates.copy(), r_diag=np.maximum(var, R_FLOOR_DEFAULT)
     )
 
 

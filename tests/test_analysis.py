@@ -17,6 +17,7 @@ from abprobe.analysis import (
     required_m,
     rp_theoretical,
 )
+from abprobe.probing import SequenceConfig
 
 
 # -- normalized MSE ---------------------------------------------------------
@@ -72,13 +73,13 @@ def test_rp_rejects_bad_delta():
 
 # -- analytic error recursion -----------------------------------------------------
 
-def analytic_params(**kw):
-    base = dict(
-        capacity=1.0, sigma=1.0, hurst=0.7, lam=1e-4, psi0=1.0,
-        m=34, p=3, rates=0.65, packet_size=0.000125, n_sequences=1000,
-    )
+def analytic_params(m=34, p=3, rates=0.65, packet_size=0.000125, **kw):
+    # M, P, the representative rate and S map to the portion deltas as a
+    # run's config maps them
+    seq = SequenceConfig(m=m, p=p, packet_size=packet_size, rate_min=rates, rate_max=rates)
+    base = dict(capacity=1.0, sigma=1.0, hurst=0.7, lam=1e-4, psi0=1.0, n_sequences=1000)
     base.update(kw)
-    return AnalyticParams(**base)
+    return AnalyticParams(deltas=seq.portion_spans(rates), **base)
 
 
 def test_analytic_zero_lambda_decays_to_zero():
@@ -93,7 +94,7 @@ def test_analytic_p1_matches_riccati_fixed_point():
     # psi* = (-lam + sqrt(lam^2 + 4 lam R)) / 2
     lam = 1e-3
     params = analytic_params(p=1, m=17, lam=lam, rates=0.5, n_sequences=100000)
-    delta = params.portion_deltas()[0]
+    (delta,) = params.deltas
     r = rp_theoretical(1.0, 1.0, 0.7, delta)
     expected = 0.5 * (-lam + math.sqrt(lam**2 + 4 * lam * r))
     res = analytic_xi(params)
@@ -110,6 +111,17 @@ def test_analytic_monotone_in_p_and_m():
     for p in range(1, 6):
         xis = [analytic_xi(analytic_params(m=m, p=p)).xi for m in grid_m]
         assert all(a > b for a, b in zip(xis, xis[1:]))
+
+
+def test_analytic_params_deltas_are_a_hashable_positive_tuple():
+    # M=34, P=3, S=1e-3 bit at u=0.65: 11 pairs per portion, 0.011/0.65 s each
+    params = analytic_params()
+    assert params.deltas == pytest.approx((0.011 / 0.65,) * 3, rel=1e-15)
+    assert type(params.deltas) is tuple and all(type(d) is float for d in params.deltas)
+    assert hash(params) == hash(analytic_params()) and params == analytic_params()
+    for bad in ((), (1.0, 0.0), (1.0, -1.0), (math.nan,)):
+        with pytest.raises(ValueError, match="deltas"):
+            AnalyticParams(capacity=1.0, sigma=1.0, hurst=0.7, lam=1e-4, psi0=1.0, deltas=bad)
 
 
 def test_analytic_nonconvergence_flagged():

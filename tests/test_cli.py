@@ -120,6 +120,27 @@ def test_trace_beyond_physical_memory_exits_2_before_synthesis(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_probe_arrays_beyond_physical_memory_exit_2_before_synthesis(
+    tmp_path, capsys, monkeypatch, command
+):
+    # the trace fits in memory, but not with the run's N x M probe arrays
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    trace = peak_bytes([trace_key(RunConfig(sequences=300, packets=201))])
+    probes = abprobe.experiment.PROBE_BYTES * 300 * 201
+    out = tmp_path / "x.csv"
+    argv = [command, "--sequences", "300", "--packets", "201", "--out", str(out)]
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", trace + probes // 2)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "GiB of physical memory" in err and "packets" in err and "sequences" in err
+    assert not out.exists()
+    # with room for both, the guard lets the run through to synthesis
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", trace + probes)
+    with pytest.raises(AssertionError, match="trace synthesis reached"):
+        main(argv)
+
+
 def test_ensemble_beyond_physical_memory_exits_2_before_synthesis(tmp_path, capsys, monkeypatch):
     # every variant fits on its own, but not with the spectral scales fbm
     # caches for the others

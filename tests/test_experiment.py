@@ -18,8 +18,15 @@ from abprobe.experiment import (
     sweep,
 )
 from abprobe.fbm import peak_bytes
+from abprobe.kalman import initial_state, predict, update_sequential, update_vector
 from abprobe.path import HopWorkload, PathModel, transit_sequence
-from abprobe.probing import build_schedule, draw_portion_rates
+from abprobe.probing import (
+    StrainMeasurement,
+    build_schedule,
+    draw_portion_rates,
+    pair_strains,
+    reduce_measurement,
+)
 
 
 def refuse(*args):
@@ -116,6 +123,37 @@ def test_event_log_bytes(tmp_path):
                 [k, i, int(portion[i]), _fmt(send[k, i]), _fmt(send[k, i]), _fmt(dep[k, i])]
             )
     assert a.read_text() == expected.getvalue()
+
+
+def test_sequential_and_joint_updates_agree_on_a_runs_own_inputs():
+    # the sequential-vs-joint oracle of criterion 1, on the filter inputs of
+    # a real run: its N x P measurement built as run builds it, chained
+    # through predict and update_sequential from the initial state
+    cfg = RunConfig(sequences=200).finalize()
+    path = PathModel(cfg.capacity, cfg.fbm_params())
+    seq, fcfg = cfg.sequence_config(), cfg.filter_config()
+    rates = draw_portion_rates(seq, np.random.default_rng([cfg.seed, 1]), cfg.sequences)
+    sched = build_schedule(seq, rates, np.arange(cfg.sequences) * SEQUENCE_GAP)
+    dep = transit_sequence(path, sched, HopWorkload(), cfg.reset_queue)[0].departures
+    meas = reduce_measurement(pair_strains(sched, dep), sched)
+
+    state = initial_state(fcfg)
+    chained = []
+    for k in range(cfg.sequences):
+        meas_k = StrainMeasurement(z=meas.z[k], rates=meas.rates[k], r_diag=meas.r_diag[k])
+        predicted = predict(state)
+        state = update_sequential(predicted, meas_k, fcfg.gate_threshold)
+        joint = update_vector(predicted, meas_k, fcfg.gate_threshold)
+        scale = max(np.abs(joint.x).max(), np.abs(joint.psi).max())
+        assert np.abs(state.x - joint.x).max() <= 1e-9 * scale
+        assert np.abs(state.psi - joint.psi).max() <= 1e-9 * scale
+        (p00, p01), (_, p11) = state.psi.tolist()
+        chained.append((state.alpha_hat, state.beta_hat, p00, p01, p11))
+
+    # bit for bit the run's own columns: the replay saw the run's inputs
+    rep = run(cfg, path=path)
+    for name, column in zip(("alpha_hat", "beta_hat", "psi00", "psi01", "psi11"), zip(*chained)):
+        assert np.array_equal(getattr(rep, name), column), name
 
 
 def test_finalize_rejects_non_finite():

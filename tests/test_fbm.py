@@ -216,7 +216,7 @@ def test_monotone_clamp_by_hand(monkeypatch):
     # b(1) = -1 -> clamped to 0; the path's ceiling, 9.5, is never reached
     p = make_params(mu=1.0, sigma=1.0, dt=1.0, horizon=2.0)
     volume = np.array([0.0, -2.0, 3.0])
-    trace = FbmTrace(p, volume, *fbm._volume(p, volume, 9.5))
+    trace = FbmTrace(volume, *fbm._volume(p, volume, 9.5))
     assert trace.volume.tolist() == [0.0, 0.0, 3.0]
     monkeypatch.setattr(abprobe.path, "generate_trace", lambda params, max_rate: trace)
     path = PathModel(10.0, p)
@@ -640,7 +640,7 @@ def test_fft_inplace_matches_numpy(length):
 
 
 def test_trace_build_peak_memory_per_sample():
-    # Measured: ~25.0 B per sample, i.e. the half-length FFT buffer the
+    # Measured: 25.9 B per sample, i.e. the half-length FFT buffer the
     # normals are drawn into (8 B) and the cached scale (4 B) per embedding
     # point at m = 2n, plus ~1 MB of block buffers.  The FFT works inside
     # that buffer with one lane of scratch and the samples stay in it, so

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from abprobe.probing import (
+    R_FLOOR_DEFAULT,
     SequenceConfig,
     balanced_portion_sizes,
     build_schedule,
@@ -12,6 +13,11 @@ from abprobe.probing import (
     pair_strains,
     reduce_measurement,
 )
+
+
+def span(sched):
+    """First-to-last packet time of each sequence."""
+    return sched.send_times[..., -1] - sched.send_times[..., 0]
 
 
 def make_config(**kw):
@@ -74,11 +80,11 @@ def test_run_draw_and_schedule_equal_per_sequence_ones():
     assert np.array_equal(rates, singles)
     t0 = 0.7 * np.arange(40)
     run = build_schedule(cfg, rates, t0)
-    assert run.delta_t.shape == (40,)
+    assert span(run).shape == (40,)
     for k in range(40):
         one = build_schedule(cfg, rates[k], t0[k])
         assert np.array_equal(run.send_times[k], one.send_times)
-        assert run.delta_t[k] == one.delta_t
+        assert span(run)[k] == span(one)
 
 
 # -- schedule construction -------------------------------------------------------
@@ -87,8 +93,8 @@ def test_schedule_span_example():
     # M=34, P=3, S=1500 B at u=6e6: delta_p = 11*12000/6e6 = 0.022 s
     cfg = make_config(m=34, p=3, packet_size=1500.0)
     sched = build_schedule(cfg, np.array([6e6, 6e6, 6e6]), t_start=0.0)
-    assert sched.delta_p == pytest.approx([0.022, 0.022, 0.022], rel=1e-12)
-    assert sched.delta_t == pytest.approx(0.066, rel=1e-12)
+    assert cfg.portion_spans(sched.portion_rates) == pytest.approx([0.022] * 3, rel=1e-12)
+    assert span(sched) == pytest.approx(0.066, rel=1e-12)
     assert sched.send_times[0] == 0.0
     assert len(sched.send_times) == 34
 
@@ -105,7 +111,7 @@ def test_delta_t_equals_sum_of_portion_spans():
     cfg = make_config(m=22, p=3)
     rates = np.array([3e6, 5e6, 9e6])
     sched = build_schedule(cfg, rates, t_start=0.5)
-    assert sched.delta_t == pytest.approx(sched.delta_p.sum(), rel=1e-12)
+    assert span(sched) == pytest.approx(cfg.portion_spans(rates).sum(), rel=1e-12)
 
 
 @given(
@@ -123,10 +129,34 @@ def test_schedule_structure_property(pairs_per_portion, p, extra, size, seed):
     assert len(sched.send_times) == m
     assert np.all(np.diff(sched.send_times) > 0)
     gaps = np.diff(sched.send_times)
-    for sl, rate in zip(cfg.portion_slices(), rates):
-        assert np.allclose(gaps[sl], cfg.packet_bits / rate, rtol=1e-9)
+    edges = cfg.portion_edges
+    for a, b, rate in zip(edges[:-1], edges[1:], rates):
+        assert np.allclose(gaps[a:b], cfg.packet_bits / rate, rtol=1e-9)
     assert sum(cfg.portion_sizes) == m - 1
     assert max(cfg.portion_sizes) - min(cfg.portion_sizes) <= 1
+
+
+@given(
+    p=st.integers(1, 6),
+    m_extra=st.integers(0, 30),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 1000),
+)
+def test_portion_edges_and_spans_property(p, m_extra, n, seed):
+    # the edges delimit runs of equal gaps packet_bits/u_p in the send
+    # times, and the portion spans add up to the sequence span
+    cfg = make_config(m=2 * p + 1 + m_extra, p=p, rate_min=1e6, rate_max=1e7)
+    rates = draw_portion_rates(cfg, np.random.default_rng(seed), n)
+    sched = build_schedule(cfg, rates, np.arange(n, dtype=float))
+    edges = cfg.portion_edges
+    assert edges[0] == 0 and edges[-1] == cfg.m - 1 and len(edges) == p + 1
+    assert np.array_equal(np.diff(edges), cfg.portion_sizes)
+    portion = np.searchsorted(edges, np.arange(cfg.m - 1), side="right") - 1
+    gaps = np.diff(sched.send_times, axis=-1)
+    assert np.allclose(gaps, cfg.packet_bits / rates[:, portion], rtol=1e-9, atol=0)
+    spans = cfg.portion_spans(rates)
+    assert spans.shape == (n, p)
+    assert np.allclose(spans.sum(axis=-1), span(sched), rtol=1e-12, atol=0)
 
 
 # -- strain computation -----------------------------------------------------------
@@ -184,8 +214,8 @@ def test_reduce_measurement_hand_values():
 def test_equal_strains_hit_variance_floor():
     cfg = SequenceConfig(m=5, p=1, packet_size=1500.0, rate_min=1e6, rate_max=1e7)
     sched = build_schedule(cfg, np.array([5e6]), 0.0)
-    meas = reduce_measurement(np.full(4, 0.25), sched, r_floor=1e-6)
-    assert meas.r_diag[0] == 1e-6
+    meas = reduce_measurement(np.full(4, 0.25), sched)
+    assert meas.r_diag[0] == R_FLOOR_DEFAULT == 1e-6
 
 
 def test_p1_reduction_is_scalar():
@@ -204,13 +234,17 @@ def test_run_reduction_matches_per_portion_var():
     rng = np.random.default_rng(4)
     sched = build_schedule(cfg, draw_portion_rates(cfg, rng, 30), np.arange(30.0))
     strains = rng.normal(0.2, 0.05, (30, 17))
-    meas = reduce_measurement(strains, sched, r_floor=1e-12)
+    meas = reduce_measurement(strains, sched)
     assert meas.z.shape == meas.r_diag.shape == (30, 3) and meas.p == 3
     assert np.array_equal(meas.rates, sched.portion_rates)
+    # every variance sits above the floor, so np.var is compared unfloored
+    assert np.all(meas.r_diag > 100 * R_FLOOR_DEFAULT)
+    edges = cfg.portion_edges
+    assert edges.tolist() == [0, 6, 12, 17]
     for k in range(30):
-        for p, sl in enumerate(cfg.portion_slices()):
-            assert meas.z[k, p] == pytest.approx(strains[k, sl].mean(), rel=1e-13)
-            assert meas.r_diag[k, p] == pytest.approx(strains[k, sl].var(ddof=1), rel=1e-12)
+        for p, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            assert meas.z[k, p] == pytest.approx(strains[k, a:b].mean(), rel=1e-13)
+            assert meas.r_diag[k, p] == pytest.approx(strains[k, a:b].var(ddof=1), rel=1e-12)
 
 
 @given(
