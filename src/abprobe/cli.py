@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -160,6 +161,11 @@ def _scenario(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.out and args.event_log and os.path.realpath(args.out) == os.path.realpath(args.event_log):
+        raise ValueError(
+            f"--out and --event-log name the same file {args.out}; the estimate CSV "
+            "would overwrite the event log, so give each its own path"
+        )
     report = run(_scenario(args), event_log=args.event_log)
     report.to_csv(args.out)
     print(

@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -142,6 +143,8 @@ class RunConfig:
             raise ValueError(f"capacity must be > 0, got {c}")
         if self.sequences < 1:
             raise ValueError(f"sequences must be >= 1, got {self.sequences}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         sigma = 0.025 * c if self.sigma is None else self.sigma
         mu = 0.4 * c if self.mu is None else self.mu
         rate_min = 0.7 * c if self.rate_min is None else self.rate_min
@@ -382,10 +385,16 @@ def _map_seeds(task, base, payload, seeds, max_workers) -> dict:
 def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[dict]:
     """One row per (variant, seed) with that run's error under xi_key, then
     the seed mean and median; columns(cfg) gives a finalized variant's other
-    columns.  Every variant is validated before any trace is synthesized."""
+    columns.  Every seed (>= 0, each listed once) and every variant is
+    validated before any trace is synthesized."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("an ensemble needs at least one seed")
+    if min(seeds) < 0:
+        raise ValueError(f"every seed must be >= 0, got {min(seeds)}")
+    repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
+    if repeated:
+        raise ValueError(f"seeds must be distinct; {repeated} listed more than once")
     cfgs = [replace(base, **v).finalize() for v in variants]
     # each worker process synthesizes its seeds' traces one after another
     traces = {(c.fbm_params().n_samples, c.hurst) for c in cfgs}

@@ -27,9 +27,8 @@ arrays, per embedding point:
 
 Beside these, every pass (the normal draw, the covariance build, the
 pre-pass, the twiddle and the volume pass) works a block of at most _BLOCK
-points at a time through block buffers it makes once per call, so its
-temporaries are O(_BLOCK) whatever the grid's shape: about 1 MiB at the
-default _BLOCK.
+points at a time through block buffers, so its temporaries are O(_BLOCK)
+whatever the grid's shape: about 1 MiB at the default _BLOCK.
 """
 
 from __future__ import annotations
@@ -261,55 +260,40 @@ def _prepass(grid: np.ndarray) -> None:
     with E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
     g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).
 
-    Row 0 holds the bins c*L1: column c pairs with column L2-c, and bin 0
-    with the real bin L.  Row r > 0 pairs (r, c) with (L1-r, L2-1-c): rows
-    r <= L1/2 go a block at a time, over a chunk of the left half of the
-    columns together with its mirror chunk (_mirrored), paired with the
-    mirror block.  The middle row of an even L1, the middle column of an odd
-    L2 and the bin L/2 of an even L pair with themselves.  The temporaries
-    are block buffers of at most _BLOCK points and the L1/2 row roots, made
-    once."""
+    Bin 0 pairs with the real bin L.  Bin k = r + L1*c, at (r, c), pairs
+    with (0, L2-c) for r = 0 and with (L1-r, L2-1-c) for r > 0, so each
+    pairing is a slice of the grid against that slice reversed: row 0 from
+    column 1, the rows from 1 and the middle row of an even L1, each paired
+    up to its midpoint.  A pairing goes a block of rows at a time over
+    chunks of its columns.  The middle column of an odd L2 and the bin L/2
+    of an even L pair with themselves.  The temporaries are block buffers
+    of at most _BLOCK points and the L1/2 + 1 row roots."""
     l1, l2 = grid.shape
     order = 2 * l1 * l2
     size = min(_BLOCK, l1 * l2)
     g, w, t = np.empty((3, size), complex)
-    mid, half = l1 // 2, (l2 + 1) // 2
-    kl = np.arange(0, l1 * min(size, l2), l1, dtype=complex)  # L1 * (0, 1, ...)
-    row = grid[0]
-    x0, nyquist = row[0].real, row[0].imag
-    row[0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
-    for s in range(1, l2 // 2 + 1, _BLOCK):
-        e = min(s + _BLOCK, l2 // 2 + 1)
-        roots = _roots(np.add(kl[: e - s], l1 * s, out=g[: e - s]), order)
-        _pair(row[s:e], row[l2 - e + 1 : l2 - s + 1][::-1], roots, w, t)
-    if not mid:
-        return
+    x0, nyquist = grid[0, 0].real, grid[0, 0].imag
+    grid[0, 0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
+    mid = l1 // 2
     # the root of (r, c) is e^(i*pi*r/L) * e^(i*pi*L1*c/L)
-    width = min(half, max(1, size // 2))
-    step = min(mid, max(1, size // (2 * width)))
-    rr = _roots(np.arange(1, mid + 1, dtype=complex), order)[:, None]
-    cr = np.empty(2 * width, complex)
-    for c, e in _chunks(half, width):
-        cols = cr[: 2 * (e - c)].reshape(2, e - c)
-        np.add(kl[: e - c], l1 * c, out=cols[0])
-        np.add(kl[: e - c], l1 * (l2 - e), out=cols[1])
-        cols = _roots(cols, order)[:, None]
-        for a in range(1, mid + 1, step):
-            b = min(a + step, mid + 1)
-            lo = _mirrored(grid, a, b, c, e)
-            roots = g[: lo.size].reshape(lo.shape)
-            np.multiply(rr[a - 1 : b - 1], cols, out=roots)
-            hi = _mirrored(grid, l1 - b + 1, l1 - a + 1, c, e)[::-1, ::-1, ::-1]
-            _pair(lo, hi, roots, w, t)
-
-
-def _mirrored(grid: np.ndarray, a: int, b: int, c: int, e: int) -> np.ndarray:
-    """Rows a..b-1 of the grid at columns c..e-1 and at their mirror columns
-    L2-e..L2-1-c, as one (2, b - a, e - c) view; reversed along every axis,
-    the same view of the mirror rows holds each bin's partner."""
-    l2, item = grid.shape[1], grid.itemsize
-    strides = ((l2 - e - c) * item, l2 * item, item)
-    return np.ndarray((2, b - a, e - c), grid.dtype, grid, (a * l2 + c) * item, strides)
+    rr = _roots(np.arange(mid + 1, dtype=complex), order)[:, None]
+    # (its first row and column, the slice, the rows and columns it pairs)
+    for r0, c0, part, rows, cols in (
+        (0, 1, grid[:1, 1:], 1, l2 // 2),
+        (1, 0, grid[1:], (l1 - 1) // 2, l2),
+        (mid, 0, grid[mid : mid + 1], 1 - l1 % 2, (l2 + 1) // 2),
+    ):
+        if not rows * cols:
+            continue
+        lo, hi = part[:rows, :cols], part[::-1, ::-1][:rows, :cols]
+        for c, e in _chunks(cols, size):
+            cr = _roots(np.arange(l1 * (c0 + c), l1 * (c0 + e), l1, dtype=complex), order)
+            step = size // (e - c)
+            for a in range(0, rows, step):
+                block = lo[a : a + step, c:e]
+                roots = g[: block.size].reshape(block.shape)
+                np.multiply(rr[r0 + a : r0 + a + len(block)], cr, out=roots)
+                _pair(block, hi[a : a + step, c:e], roots, w, t)
 
 
 def _pair(lo: np.ndarray, hi: np.ndarray, g: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
@@ -350,7 +334,7 @@ def _chunks(length: int, limit: int) -> list[tuple[int, int]]:
 def _roots(k: np.ndarray, order: int) -> np.ndarray:
     """k, complex integers 0 <= k < order, becomes exp(2i*pi*k/order) in place.
     The integers stay exact: the callers make them by np.arange and by
-    adding and multiplying integers below 2**53."""
+    multiplying integers below 2**53."""
     np.multiply(2j * np.pi / order, k, out=k)
     return np.exp(k, out=k)
 
@@ -366,35 +350,30 @@ def _fft_inplace(grid: np.ndarray) -> None:
 
     Four-step (Bailey 1990): transform along the rows, twiddle, transform
     along the columns.  numpy transforms a batch one lane at a time, so the
-    only scratch is one lane.  It reads the input in natural order along
-    grid.T, input k at grid[k % L1, k // L1], and leaves the output in
-    natural order in grid.reshape(-1).  With L1 = 1 (a prime L) the grid
-    is one lane.
+    only scratch is one lane, beside the twiddle's block buffers.  It reads
+    the input in natural order along grid.T, input k at grid[k % L1, k // L1],
+    and leaves the output in natural order in grid.reshape(-1).  With L1 = 1
+    (a prime L) the grid is one lane and takes no twiddle.
     """
     l1, l2 = grid.shape
     np.fft.ifft(grid, axis=1, out=grid)
-    # grid[k1, j2] *= e^(2i*pi*k1*j2/L) by chunks of columns, and in a chunk
-    # `step` rows at a time: row a + r takes table[r] * table[step + a/step],
-    # where table[i] = e^(2i*pi*f[i]*j2/L), f = 0..step-1 and then 0, step,
-    # 2 step, ..., is built once per chunk; a single row needs none
+    # grid[k1, j2] *= e^(2i*pi*k1*j2/L) by chunks of columns, a lane of `step`
+    # rows at a time: row a + r takes near[r] * far[a/step], the chunk's
+    # roots of r*j2 for r < step and of a*j2 for a = 0, step, 2 step, ...
     if l1 > 1:
         order = l1 * l2
         step = math.isqrt(l1)
-        lanes = -(-l1 // step)
-        width = min(l2, max(1, _BLOCK // (step + lanes)))
-        j = np.arange(width, dtype=complex)
-        f = np.concatenate((np.arange(step), np.arange(0, l1, step))).astype(complex)[:, None]
-        table = np.empty((step + lanes) * width, complex)
+        lanes = range(0, l1, step)  # the first row of each lane
+        width = min(l2, max(1, _BLOCK // (step + len(lanes))))
         prod = np.empty(step * width, complex)
         for c, e in _chunks(l2, width):
-            n = e - c
-            tab = table[: (step + lanes) * n].reshape(step + lanes, n)
-            j2 = np.add(j[:n], c, out=prod[:n])
-            _roots(np.multiply(f, j2, out=tab), order)
-            for lane, a in enumerate(range(0, l1, step), step):
-                rows = grid[a : a + step, c : c + n]
+            j2 = np.arange(c, e, dtype=complex)
+            near = _roots(np.multiply.outer(np.arange(step), j2), order)
+            far = _roots(np.multiply.outer(lanes, j2), order)
+            for a, lane in zip(lanes, far):
+                rows = grid[a : a + step, c:e]
                 p = prod[: rows.size].reshape(rows.shape)
-                np.multiply(tab[: len(rows)], tab[lane], out=p)
+                np.multiply(near[: len(rows)], lane, out=p)
                 rows *= p
     np.fft.ifft(grid, axis=0, out=grid)
 

@@ -285,6 +285,34 @@ def test_flag_a_subcommand_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--seeds", "0,-1"], "every seed must be >= 0, got -1"),
+        (["sweep", "--seeds", "0,0"], "seeds must be distinct; [0] listed more than once"),
+        (["compare-bart", "--seeds", "0:3,1"], "seeds must be distinct; [1] listed more than once"),
+        (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["sweep", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+)
+def test_negative_or_repeated_seeds_exit_2_before_synthesis(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--sequences", "5", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_with_one_path_for_csv_and_event_log_exits_2(tmp_path, capsys, monkeypatch):
+    # the estimate CSV would overwrite the event log; the same file by another name too
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    for log in (out, tmp_path / "sub" / ".." / "x.csv"):
+        assert main(["run", "--sequences", "5", "--out", str(out), "--event-log", str(log)]) == 2
+        assert "--out and --event-log name the same file" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_lambda_config_key_sets_lam(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     cfg = tmp_path / "cfg.json"

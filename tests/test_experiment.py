@@ -292,6 +292,23 @@ def test_ensembles_reject_an_empty_seed_list():
         compare_bart(small_config(), seeds=[])
 
 
+@pytest.mark.parametrize(
+    "seeds, message",
+    [
+        ([0, -1], "every seed must be >= 0, got -1"),
+        ([0, 0], r"seeds must be distinct; \[0\] listed more than once"),
+        ([*range(3), 1, 2], r"\[1, 2\] listed more than once"),
+    ],
+)
+def test_ensembles_reject_negative_and_repeated_seeds_before_synthesis(monkeypatch, seeds, message):
+    # a repeated seed would rerun its task and weigh twice in the mean and median rows
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    with pytest.raises(ValueError, match=message):
+        sweep(small_config(), packets=[13], seeds=seeds)
+    with pytest.raises(ValueError, match=message):
+        compare_bart(small_config(), seeds=seeds)
+
+
 def test_model_grid_rows_monotone_analytic():
     rows = model_grid_rows(small_config(), packets=[16, 34, 64], portions=[1, 3])
     for p in (1, 3):

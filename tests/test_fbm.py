@@ -545,9 +545,9 @@ def test_irfft_refuses_a_buffer_held_elsewhere():
 
 @pytest.mark.parametrize("half", [2 * 70001, 3 * 70001, 4 * 70001])
 def test_irfft_rows_longer_than_a_block(half):
-    # 2, 3 and 4 x 70001 grids at the default block: the pre-pass pairs
-    # chunks of columns with their mirror chunks (the middle row's with its
-    # own), and the twiddle runs over several chunks of columns
+    # 2, 3 and 4 x 70001 grids at the default block: each of the pre-pass's
+    # pairings (row 0, the rows from 1, the middle row of an even L1) and
+    # the twiddle run over several chunks of columns
     assert fbm._grid_shape(half)[1] > fbm._BLOCK
     rng = np.random.default_rng(half)
     spec = rng.standard_normal(half + 1) + 1j * rng.standard_normal(half + 1)
@@ -627,7 +627,57 @@ def test_trace_built_in_place_equals_clamp_of_its_omega(monkeypatch, set_block, 
         assert not path._eff.flags.writeable
 
 
-@pytest.mark.parametrize("length", [1, 2, 97, 18000])
+def whole_array_prepass(grid):
+    """The pre-pass's C[0..L-1] in bin order by the whole-array formula
+    C[k] = W + g_k*(X[k] - W), W = conj X[L-k], g_k = 1/2 + i*e^(i*pi*k/L)/2,
+    from the packed X on the grid (the real bin L in bin 0's imaginary slot)."""
+    x = grid.T.reshape(-1)
+    k = np.arange(len(x))
+    x = np.append(x, x[0].imag)
+    x[0] = x[0].real
+    w = np.conj(x[len(k) - k])
+    return w + (0.5 + 0.5j * np.exp(1j * np.pi * k / len(k))) * (x[:-1] - w)
+
+
+# grid halves of every parity of L1 and L2, each at blocks of 3 and 4 points
+# and the default block, then rows longer than the default block
+PREPASS_HALVES = [
+    1,  # 1 x 1: bin 0 and the real bin 1 only
+    2,  # 1 x 2
+    13,  # 1 x 13
+    6,  # 2 x 3: L1 even, L2 odd, so bin L/2 off row 0
+    16,  # 4 x 4: both even
+    42,  # 6 x 7
+    12,  # 3 x 4: L1 odd, L2 even
+    30,  # 5 x 6
+    15,  # 3 x 5: both odd
+    16200,  # 120 x 135
+    18000,  # 125 x 144
+]
+
+
+@pytest.mark.parametrize(
+    "half, block",
+    [(h, b) for h in PREPASS_HALVES for b in (3, 4, None)]
+    + [(2 * 70001, None), (3 * 70001, None), (4 * 70001, None)],
+)
+def test_prepass_equals_whole_array_formula(set_block, half, block):
+    # every bin is written, within a few ulp of the formula, whichever of the
+    # three pairings (row 0, the rows from 1, the middle row of an even L1)
+    # it falls in and however the blocks cut them
+    if block is not None:
+        set_block(block)
+    rng = np.random.default_rng(half)
+    shape = fbm._grid_shape(half)
+    grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = whole_array_prepass(grid)
+    before = grid.copy()
+    fbm._prepass(grid)
+    assert np.all(grid != before)
+    assert np.abs(grid.T.reshape(-1) - want).max() <= 8 * np.finfo(float).eps * np.abs(want).max()
+
+
+@pytest.mark.parametrize("length", [1, 2, 97, 18000, 2 * 70001, 3 * 70001])
 def test_fft_inplace_matches_numpy(length):
     # the input in natural order along grid.T, the output in grid.reshape(-1)
     rng = np.random.default_rng(length)
