@@ -177,6 +177,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _ensemble_seeds(args, base: RunConfig) -> list[int]:
+    """--seeds, or else the scenario's one seed; --seed beside --seeds would be
+    dropped, so the two together are refused."""
+    if args.seeds is not None and hasattr(args, "seed"):
+        raise ValueError(
+            "give --seed or --seeds, not both; --seeds lists every seed the ensemble runs"
+        )
+    return args.seeds or [base.seed]
+
+
 def _cmd_sweep(args) -> int:
     base = _scenario(args)
     rows = sweep(
@@ -185,7 +195,7 @@ def _cmd_sweep(args) -> int:
         portions=getattr(args, "portions", None),
         packet_sizes=getattr(args, "packet_size", None),
         capacities=getattr(args, "capacity", None),
-        seeds=args.seeds or [base.seed],
+        seeds=_ensemble_seeds(args, base),
         paired=args.paired,
         max_workers=args.workers,
     )
@@ -199,7 +209,7 @@ def _cmd_compare(args) -> int:
         base,
         portions=getattr(args, "portions", None),
         initial_abs=getattr(args, "initial_ab", None),
-        seeds=args.seeds or [base.seed],
+        seeds=_ensemble_seeds(args, base),
         max_workers=args.workers,
     )
     _write_rows(args.out, COMPARE_HEADER, rows)

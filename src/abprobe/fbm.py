@@ -29,14 +29,28 @@ Beside these, every pass (the normal draw, the covariance build, the
 pre-pass, the twiddle and the volume pass) works a block of at most _BLOCK
 points at a time through block buffers, so its temporaries are O(_BLOCK)
 whatever the grid's shape: about 1 MiB at the default _BLOCK.
+
+A transform that keeps at least 2**20 points runs its passes on two
+threads where the process may run on two CPUs or more: the normal draw as
+a pipeline (this thread draws the next block from the one RNG stream while
+a worker scales and places the last), the covariance build, the pre-pass
+and the FFT's row, twiddle and column passes split between the threads,
+each with half the block buffers.  The worker lives only inside the
+transform, and no value depends on the split, so the output is the same
+bit for bit on one thread or two.  The volume pass, whose sums carry from
+block to block, stays serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -120,7 +134,7 @@ def peak_bytes(traces: Iterable[tuple[int, float]]) -> int:
     """Peak bytes of synthesizing the (n_samples, hurst) traces one after
     another in one process: 15 B per point of the largest padded embedding
     (its 8 B buffer, its 4 B scale and the block buffers; past numpy's own
-    imports, peak RSS rose 12.2 and 12.1 B at 3.3 M and 10 M samples), 4 B
+    imports, peak RSS rose 13.2 and 12.4 B at 3.3 M and 10 M samples), 4 B
     per point more while a tracer or profiler is active, for the copy of
     the kept points _irfft then makes, and 4 B per point of up to
     _SCALE_CACHE_SIZE - 1 cached others."""
@@ -136,16 +150,16 @@ def _traced() -> bool:
     return sys.gettrace() is not None or sys.getprofile() is not None
 
 
-def _normal_spectrum(rng: np.random.Generator, scale: np.ndarray) -> np.ndarray:
+def _normal_spectrum(rng: np.random.Generator, scale: np.ndarray, pool=None) -> np.ndarray:
     """Hermitian spectral synthesis: m = 2*(len(scale) - 1) real normals, times
     the scale, drawn in the order re[0..L] then im[1..L-1] into _irfft's
     packed spectrum of the half length L."""
     half = len(scale) - 1
     buf = np.empty(2 * half)
     re, im = _bin_views(buf)
-    _scaled_normals(rng, scale[:half], re, 0)
+    _scaled_normals(rng, scale[:half], re, 0, pool)
     nyquist = rng.standard_normal() * scale[half]
-    _scaled_normals(rng, scale[:half], im, 1)
+    _scaled_normals(rng, scale[:half], im, 1, pool)
     buf[1] = nyquist  # bin 0's imaginary slot
     return buf
 
@@ -158,21 +172,29 @@ def _bin_views(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scaled_normals(
-    rng: np.random.Generator, scale: np.ndarray, out: np.ndarray, start: int
+    rng: np.random.Generator, scale: np.ndarray, out: np.ndarray, start: int, pool
 ) -> None:
     """Bins start.. of out, an (rows, width) view in bin order, = scale times
     standard normals, drawn a block of rows at a time (the same stream as
-    one draw); the bins before start take unset values."""
-    width = out.shape[1]
+    one draw) into one of two block buffers while the block before, in the
+    other, is scaled and placed; the bins before start take zeros."""
+    rows, width = out.shape
     step = max(1, _BLOCK // width)
-    z = np.empty((min(step, len(out)), width))
-    for a in range(0, len(out), step):
-        b = z[: min(step, len(out) - a)]
-        flat = b.reshape(-1)[start:]
-        rng.standard_normal(out=flat)
-        flat *= scale[a * width + start : (a + len(b)) * width]
-        out[a : a + len(b)] = b
-        start = 0
+    z = np.zeros((2, min(step, rows) * width))
+
+    def draw(a: int) -> None:
+        b = z[a // step % 2, : min(step, rows - a) * width]
+        rng.standard_normal(out=b[start if a == 0 else 0 :])
+
+    def place(a: int) -> None:
+        b = z[a // step % 2, : min(step, rows - a) * width]
+        b *= scale[a * width : a * width + len(b)]
+        out[a : a + step] = b.reshape(-1, width)
+
+    draw(0)
+    for a in range(0, rows, step):
+        parts = [partial(draw, a + step)] if a + step < rows else []
+        _together(pool, parts + [partial(place, a)])
 
 
 def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
@@ -193,30 +215,37 @@ def _embedding_eigenvalues(n: int, hurst: float) -> np.ndarray:
     )
 
 
-def _covariance_spectrum(half: int, hurst: float) -> np.ndarray:
+def _covariance_spectrum(half: int, hurst: float, pool=None) -> np.ndarray:
     """The fGn autocovariance gamma(0..half) as _irfft's packed spectrum."""
     # gamma(k) = 0.5*((q[k+2] - 2q[k+1]) + q[k]) with q[k] = |k-1|^2H, written
-    # a block of rows at a time into the real slots; a block's q covers its
-    # bins and the two after them, so the last block's also gives gamma(half)
+    # a block of rows at a time into the real slots, each thread its share of
+    # the rows; a block's q covers its bins and the two after them, so the
+    # last block's also gives gamma(half)
     buf = np.zeros(2 * half)
     re = _bin_views(buf)[0]
     width = re.shape[1]
-    step = max(1, _BLOCK // width)
+    threads = _THREADS if pool else 1
+    step = max(1, _BLOCK // threads // width)
     size = min(step, len(re)) * width
     ks = np.arange(size + 3.0)
-    q, g = np.empty(size + 3), np.empty(size)
-    for a in range(0, len(re), step):
-        s, e = a * width, min(a + step, len(re)) * width
-        qb, gb = q[: e - s + 3], g[: e - s]
-        np.add(ks[: e - s + 3], s - 1, out=qb)
-        qb[0] = abs(qb[0])  # q[0] = |-1|, not a power of a negative base
-        qb **= 2.0 * hurst
-        np.multiply(qb[1:-2], 2.0, out=gb)
-        np.subtract(qb[2:-1], gb, out=gb)
-        gb += qb[:-3]
-        gb *= 0.5
-        re[a : a + step] = gb.reshape(-1, width)
-    buf[1] = 0.5 * ((qb[-1] - 2.0 * qb[-2]) + qb[-3])
+    q, g = np.empty((threads, size + 3)), np.empty((threads, size))
+
+    def rows(i: int, lo: int, hi: int) -> None:
+        for a in range(lo, hi, step):
+            s, e = a * width, min(a + step, hi) * width
+            qb, gb = q[i, : e - s + 3], g[i, : e - s]
+            np.add(ks[: e - s + 3], s - 1, out=qb)
+            qb[0] = abs(qb[0])  # q[0] = |-1|, not a power of a negative base
+            qb **= 2.0 * hurst
+            np.multiply(qb[1:-2], 2.0, out=gb)
+            np.subtract(qb[2:-1], gb, out=gb)
+            gb += qb[:-3]
+            gb *= 0.5
+            re[a : a + len(gb) // width] = gb.reshape(-1, width)
+        if hi == len(re):
+            buf[1] = 0.5 * ((qb[-1] - 2.0 * qb[-2]) + qb[-3])
+
+    _split(pool, rows, len(re))
     return buf
 
 
@@ -224,8 +253,10 @@ def _irfft(
     build: Callable[..., np.ndarray], args: tuple, lead: int, count: int
 ) -> np.ndarray:
     """lead zeros, then the first count <= m/2 + 1 points of numpy's
-    irfft(X, n=m), in the buffer build(*args) itself, shrunk to those
-    lead + count floats.
+    irfft(X, n=m), in the buffer build(*args, pool) itself, shrunk to those
+    lead + count floats.  pool, one worker thread for the passes, exists
+    only if count is at least _THREADED blocks and _THREADS > 1; it is
+    joined before the shrink.
 
     The buffer (float, length m, owning its data) packs the spectrum X[0..L],
     L = m/2, in the order the four-step transform reads it: bin k, a complex
@@ -241,11 +272,14 @@ def _irfft(
     y = ifft(C), C[k] = W + g_k*(X[k] - W) with W = conj X[L-k] and
     g_k = 1/2 + h_k, h_k = i*e^(i*pi*k/L)/2, is y[j] = x[2j] + i*x[2j+1].
     """
-    buf = build(*args)
-    grid = buf.view(complex).reshape(_grid_shape(len(buf) // 2))
-    _prepass(grid)
-    _fft_inplace(grid)
-    del grid  # the shrink refuses a buffer that a view still holds
+    threaded = _THREADS > 1 and count >= _THREADED * _BLOCK
+    # leaving the block joins the worker, before the shrink
+    with ThreadPoolExecutor(_THREADS - 1) if threaded else nullcontext() as pool:
+        buf = build(*args, pool)
+        grid = buf.view(complex).reshape(_grid_shape(len(buf) // 2))
+        _prepass(grid, pool)
+        _fft_inplace(grid, pool)
+        del grid  # the shrink refuses a buffer that a view still holds
     # numpy copies between overlapping 1-d views of one buffer in place
     buf[lead : lead + count] = buf[:count]
     buf[:lead] = 0.0
@@ -255,7 +289,7 @@ def _irfft(
     return buf
 
 
-def _prepass(grid: np.ndarray) -> None:
+def _prepass(grid: np.ndarray, pool=None) -> None:
     """C from the packed X, in place on the grid, pairing bin k with bin L-k:
     with E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
     g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).
@@ -267,11 +301,13 @@ def _prepass(grid: np.ndarray) -> None:
     up to its midpoint.  A pairing goes a block of rows at a time over
     chunks of its columns.  The middle column of an odd L2 and the bin L/2
     of an even L pair with themselves.  The temporaries are block buffers
-    of at most _BLOCK points and the L1/2 + 1 row roots."""
+    of at most _BLOCK points and the L1/2 + 1 row roots; each thread pairs
+    its share of a pairing's rows through its own buffers."""
     l1, l2 = grid.shape
     order = 2 * l1 * l2
-    size = min(_BLOCK, l1 * l2)
-    g, w, t = np.empty((3, size), complex)
+    threads = _THREADS if pool else 1
+    size = min(_BLOCK // threads, l1 * l2)
+    scratch = [tuple(np.empty((3, size), complex)) for _ in range(threads)]
     x0, nyquist = grid[0, 0].real, grid[0, 0].imag
     grid[0, 0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
     mid = l1 // 2
@@ -286,14 +322,19 @@ def _prepass(grid: np.ndarray) -> None:
         if not rows * cols:
             continue
         lo, hi = part[:rows, :cols], part[::-1, ::-1][:rows, :cols]
-        for c, e in _chunks(cols, size):
-            cr = _roots(np.arange(l1 * (c0 + c), l1 * (c0 + e), l1, dtype=complex), order)
-            step = size // (e - c)
-            for a in range(0, rows, step):
-                block = lo[a : a + step, c:e]
-                roots = g[: block.size].reshape(block.shape)
-                np.multiply(rr[r0 + a : r0 + a + len(block)], cr, out=roots)
-                _pair(block, hi[a : a + step, c:e], roots, w, t)
+
+        def pair(i: int, top: int, end: int) -> None:
+            g, w, t = scratch[i]
+            for c, e in _chunks(cols, size):
+                cr = _roots(np.arange(l1 * (c0 + c), l1 * (c0 + e), l1, dtype=complex), order)
+                step = size // (e - c)
+                for a in range(top, end, step):
+                    block = lo[a : min(a + step, end), c:e]
+                    roots = g[: block.size].reshape(block.shape)
+                    np.multiply(rr[r0 + a : r0 + a + len(block)], cr, out=roots)
+                    _pair(block, hi[a : a + len(block), c:e], roots, w, t)
+
+        _split(pool, pair, rows)
 
 
 def _pair(lo: np.ndarray, hi: np.ndarray, g: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
@@ -339,24 +380,61 @@ def _roots(k: np.ndarray, order: int) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-# points per block of the normal draw, the covariance build, _irfft's
-# passes and the volume pass
+# points per block of the normal draw (each of its two buffers), the
+# covariance build, _irfft's passes and the volume pass; split between T
+# threads, a pass gives each thread buffers of _BLOCK/T points
 _BLOCK = 1 << 14
+# the threads of _irfft's passes, at most one per CPU this process may run
+# on; a transform keeping fewer than _THREADED blocks of points runs on one:
+# on a 2-CPU host two threads lost a few per cent at 2**19 points and won
+# about 20 per cent at 2**21
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_THREADED = 64
 
 
-def _fft_inplace(grid: np.ndarray) -> None:
+def _split(pool, work: Callable[[int, int, int], None], n: int) -> None:
+    """work(i, a, b) on each thread's share i, range(a, b), of range(n), at
+    once (_together); a share's block buffers are the caller's i-th."""
+    if pool is None:
+        return work(0, 0, n)
+    shares = _chunks(n, -(-n // _THREADS))
+    _together(pool, [partial(work, i, a, b) for i, (a, b) in enumerate(shares)])
+
+
+def _together(pool, parts: list) -> None:
+    """Runs the callables parts, the first on this thread and the others on
+    pool's worker at once (with no pool, all here in turn), and returns
+    when all are done."""
+    futures = [pool.submit(part) for part in parts[1:]] if pool else []
+    try:
+        for part in parts if pool is None else parts[:1]:
+            part()
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _fft_inplace(grid: np.ndarray, pool=None) -> None:
     """In-place inverse complex DFT (numpy's ifft) of length L = L1*L2 on a
     C-contiguous (L1, L2) grid.
 
     Four-step (Bailey 1990): transform along the rows, twiddle, transform
     along the columns.  numpy transforms a batch one lane at a time, so the
-    only scratch is one lane, beside the twiddle's block buffers.  It reads
+    only scratch is a lane per thread, beside the twiddle's block buffers.  It reads
     the input in natural order along grid.T, input k at grid[k % L1, k // L1],
     and leaves the output in natural order in grid.reshape(-1).  With L1 = 1
-    (a prime L) the grid is one lane and takes no twiddle.
+    (a prime L) the grid is one lane and takes no twiddle.  Each thread
+    transforms its share of the rows, then twiddles and transforms its
+    share of the columns.
     """
     l1, l2 = grid.shape
-    np.fft.ifft(grid, axis=1, out=grid)
+
+    def ifft(axis: int, i: int, a: int, b: int) -> None:
+        lanes = grid[a:b] if axis else grid[:, a:b]
+        np.fft.ifft(lanes, axis=axis, out=lanes)
+
+    _split(pool, partial(ifft, 1), l1)
     # grid[k1, j2] *= e^(2i*pi*k1*j2/L) by chunks of columns, a lane of `step`
     # rows at a time: row a + r takes near[r] * far[a/step], the chunk's
     # roots of r*j2 for r < step and of a*j2 for a = 0, step, 2 step, ...
@@ -364,18 +442,24 @@ def _fft_inplace(grid: np.ndarray) -> None:
         order = l1 * l2
         step = math.isqrt(l1)
         lanes = range(0, l1, step)  # the first row of each lane
-        width = min(l2, max(1, _BLOCK // (step + len(lanes))))
-        prod = np.empty(step * width, complex)
-        for c, e in _chunks(l2, width):
-            j2 = np.arange(c, e, dtype=complex)
-            near = _roots(np.multiply.outer(np.arange(step), j2), order)
-            far = _roots(np.multiply.outer(lanes, j2), order)
-            for a, lane in zip(lanes, far):
-                rows = grid[a : a + step, c:e]
-                p = prod[: rows.size].reshape(rows.shape)
-                np.multiply(near[: len(rows)], lane, out=p)
-                rows *= p
-    np.fft.ifft(grid, axis=0, out=grid)
+        threads = _THREADS if pool else 1
+        width = min(l2, max(1, _BLOCK // threads // (step + len(lanes))))
+        chunks = _chunks(l2, width)
+        prod = np.empty((threads, step * width), complex)
+
+        def twiddle(i: int, lo: int, hi: int) -> None:
+            for c, e in chunks[lo:hi]:
+                j2 = np.arange(c, e, dtype=complex)
+                near = _roots(np.multiply.outer(np.arange(step), j2), order)
+                far = _roots(np.multiply.outer(lanes, j2), order)
+                for a, lane in zip(lanes, far):
+                    rows = grid[a : a + step, c:e]
+                    p = prod[i, : rows.size].reshape(rows.shape)
+                    np.multiply(near[: len(rows)], lane, out=p)
+                    rows *= p
+
+        _split(pool, twiddle, len(chunks))
+    _split(pool, partial(ifft, 0), l2)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,18 @@ def test_negative_or_repeated_seeds_exit_2_before_synthesis(tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "compare-bart"])
+def test_seed_beside_seeds_exits_2_before_synthesis(tmp_path, capsys, monkeypatch, command):
+    # --seeds lists the ensemble's seeds; a --seed beside it used to be dropped
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    argv = [command, "--seed", "3", "--seeds", "0,1", "--sequences", "5", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--seed " in err and "--seeds" in err
+    assert not out.exists()
+
+
 def test_run_with_one_path_for_csv_and_event_log_exits_2(tmp_path, capsys, monkeypatch):
     # the estimate CSV would overwrite the event log; the same file by another name too
     monkeypatch.setattr(abprobe.path, "generate_trace", refuse)

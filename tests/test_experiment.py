@@ -1,6 +1,10 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +233,32 @@ def test_sweep_worker_pool_matches_serial():
     serial = sweep(base, packets=[13, 22], seeds=(0, 1), max_workers=1)
     pooled = sweep(base, packets=[13, 22], seeds=(0, 1), max_workers=2)
     assert serial == pooled
+
+
+def test_sweep_forks_after_a_threaded_synthesis():
+    # the transform's worker thread is joined inside each synthesis, so no
+    # pool outlives it into the processes a sweep forks: after a trace above
+    # the thread cutoff, a 2-worker sweep (whose traces are above it too)
+    # finishes with the 1-worker rows.  A pool that outlived its synthesis
+    # would leave the forked workers waiting on a thread they do not have,
+    # so the check runs in a child process with a deadline.
+    code = (
+        "from abprobe import experiment, fbm\n"
+        "from abprobe.experiment import RunConfig, sweep\n"
+        "fbm._THREADS = 2\n"
+        "experiment.os.cpu_count = lambda: 2\n"
+        "base = RunConfig(sequences=320, seed=5)\n"
+        "params = base.finalize().fbm_params()\n"
+        "assert params.n_samples > fbm._THREADED * fbm._BLOCK\n"
+        "fbm.generate_trace(params, 1e7)\n"
+        "pooled = sweep(base, packets=[13], seeds=(0, 1), max_workers=2)\n"
+        "print(pooled == sweep(base, packets=[13], seeds=(0, 1), max_workers=1))\n"
+    )
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "True"
 
 
 def _seed_echo(args):

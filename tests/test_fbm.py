@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -477,10 +478,10 @@ def test_volume_equals_whole_array_formula(set_block, block):
 
 # -- the output in the transform's own buffer -----------------------------------
 
-def packed(spec):
+def packed(spec, pool=None):
     """_irfft's packed spectrum of X[0..L]: bin k, a complex pair, at
     grid[k % L1, k // L1] of the (L1, L2) grid over the buffer, the real
-    bin L in bin 0's imaginary slot."""
+    bin L in bin 0's imaginary slot (a build, so it takes _irfft's pool)."""
     half = len(spec) - 1
     l1, l2 = fbm._grid_shape(half)
     buf = np.empty(2 * half)
@@ -535,7 +536,7 @@ def test_irfft_refuses_a_buffer_held_elsewhere():
     # instead of leaving a copy beside the full buffer
     held = []
 
-    def build(spec):
+    def build(spec, pool):
         held.append(packed(spec))
         return held[-1]
 
@@ -794,3 +795,96 @@ def test_trace_build_peak_rss_per_embedding_point():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert float(out.stdout) < 15.0
+
+
+# -- the passes on two threads -------------------------------------------------
+
+@pytest.mark.parametrize(
+    "n, exact, shape",
+    [
+        (3336666, False, (1728, 1944)),  # run_cli's
+        (1215 * 1280, True, (1215, 1280)),  # odd L1
+        (1024 * 1125, True, (1024, 1125)),  # even L1: row 512 pairs with itself
+        (1048583, True, (1, 1048583)),  # one row: a prime L, one lane
+        (2 * 524309, True, (2, 524309)),  # the m = 2n fallback's for n = 2 * prime
+    ],
+)
+def test_threads_equal_serial_bit_for_bit(monkeypatch, n, exact, shape):
+    # the same synthesis with the passes on one thread and on two: the cold
+    # one (the covariance build too) and then a warm trace, equal bit for
+    # bit; every transform above the cutoff starts its own worker and joins
+    # it before it returns
+    if exact:
+        monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
+    assert fbm._grid_shape(fbm._next_fast_len(2 * n) // 2) == shape
+    assert n >= fbm._THREADED * fbm._BLOCK
+    pools = []
+
+    class CountedPool(fbm.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fbm, "ThreadPoolExecutor", CountedPool)
+    p = make_params(mu=4e6, sigma=2.5e5, dt=1e-3, horizon=1e-3 * n, seed=3)
+    got = []
+    for threads in (1, 2):
+        monkeypatch.setattr(fbm, "_THREADS", threads)
+        monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+        pools.clear()
+        before = threading.active_count()
+        x = fgn_davies_harte(n, p.hurst, np.random.default_rng(7))
+        volume = generate_trace(p, RATE_CEILING * 3.0).volume
+        assert threading.active_count() == before
+        # the eigenvalues, then two syntheses, each with one worker or none
+        assert pools == [(1,)] * 3 * (threads - 1)
+        got.append((x, volume))
+    assert np.array_equal(got[0][0], got[1][0])
+    assert np.array_equal(got[0][1], got[1][1])
+
+
+def test_threads_under_stress_equal_serial(monkeypatch):
+    # more threads than the pipeline and most hosts have CPUs, switching as
+    # often as the interpreter lets them: each split still writes disjoint
+    # parts of the grid, so the synthesis is the serial one bit for bit
+    n = 1024 * 1125
+    monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
+    got = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 4):
+            monkeypatch.setattr(fbm, "_THREADS", threads)
+            monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+            got.append(fgn_davies_harte(n, 0.7, np.random.default_rng(11)))
+    finally:
+        sys.setswitchinterval(previous)
+    assert np.array_equal(got[0], got[1])
+
+
+def test_small_synthesis_starts_no_thread(monkeypatch):
+    # below the cutoff every pass runs on the calling thread; the eigenvalue
+    # transform keeps up to 1.25 n + 1 points, so n is half the cutoff
+    monkeypatch.setattr(fbm, "_THREADS", 2)
+    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+    monkeypatch.setattr(fbm, "ThreadPoolExecutor", refuse_pool)
+    n = fbm._THREADED * fbm._BLOCK // 2
+    assert len(fgn_davies_harte(n, 0.7, np.random.default_rng(0))) == n
+    assert len(fgn_davies_harte(16, 0.7, np.random.default_rng(0))) == 16
+
+
+def refuse_pool(*args, **kwargs):
+    raise AssertionError("a worker thread was started")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets the CPU affinity")
+def test_thread_count_follows_the_cpus_the_process_may_run_on():
+    # one CPU, and the module runs every pass on the calling thread
+    src = str(Path(fbm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " \
+        "from abprobe import fbm; print(fbm._THREADS)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "1"
+    assert fbm._THREADS == min(2, len(os.sched_getaffinity(0)))
