@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import fbm
 from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, normalized_mse
 from .fbm import FbmParams, peak_bytes
 from .kalman import GATE_THRESHOLD_DEFAULT, FilterConfig, initial_state, process_sequence
@@ -367,8 +368,8 @@ def _seed_task(args):
 
 
 def _pool_size(max_workers: int, n_seeds: int) -> int:
-    """Worker processes of an ensemble: at most one per seed and per CPU."""
-    return min(max_workers, n_seeds, os.cpu_count() or 1)
+    """Worker processes of an ensemble: at most one per seed and per fbm.CPUS."""
+    return min(max_workers, n_seeds, fbm.CPUS)
 
 
 def _map_seeds(task, base, payload, seeds, max_workers) -> dict:

@@ -30,15 +30,15 @@ pre-pass, the twiddle and the volume pass) works a block of at most _BLOCK
 points at a time through block buffers, so its temporaries are O(_BLOCK)
 whatever the grid's shape: about 1 MiB at the default _BLOCK.
 
-A transform that keeps at least 2**20 points runs its passes on two
-threads where the process may run on two CPUs or more: the normal draw as
-a pipeline (this thread draws the next block from the one RNG stream while
-a worker scales and places the last), the covariance build, the pre-pass
-and the FFT's row, twiddle and column passes split between the threads,
-each with half the block buffers.  The worker lives only inside the
+A transform that keeps at least 2**20 points runs three of its passes on
+two threads where the process may run on two CPUs or more (CPUS): the
+normal draw as a pipeline (this thread draws the next block from the one
+RNG stream while a worker scales and places the last), and the covariance
+build and the FFT's row and column passes split between the threads, the
+build with half the block buffers each.  The worker lives only inside the
 transform, and no value depends on the split, so the output is the same
-bit for bit on one thread or two.  The volume pass, whose sums carry from
-block to block, stays serial.
+bit for bit on one thread or two.  The pre-pass, the twiddle and the
+volume pass stay serial.
 """
 
 from __future__ import annotations
@@ -254,9 +254,9 @@ def _irfft(
 ) -> np.ndarray:
     """lead zeros, then the first count <= m/2 + 1 points of numpy's
     irfft(X, n=m), in the buffer build(*args, pool) itself, shrunk to those
-    lead + count floats.  pool, one worker thread for the passes, exists
-    only if count is at least _THREADED blocks and _THREADS > 1; it is
-    joined before the shrink.
+    lead + count floats.  pool, one worker thread for the build and the
+    FFT's row and column passes, exists only if count is at least
+    _THREADED blocks and _THREADS > 1; it is joined before the shrink.
 
     The buffer (float, length m, owning its data) packs the spectrum X[0..L],
     L = m/2, in the order the four-step transform reads it: bin k, a complex
@@ -277,7 +277,7 @@ def _irfft(
     with ThreadPoolExecutor(_THREADS - 1) if threaded else nullcontext() as pool:
         buf = build(*args, pool)
         grid = buf.view(complex).reshape(_grid_shape(len(buf) // 2))
-        _prepass(grid, pool)
+        _prepass(grid)
         _fft_inplace(grid, pool)
         del grid  # the shrink refuses a buffer that a view still holds
     # numpy copies between overlapping 1-d views of one buffer in place
@@ -289,7 +289,7 @@ def _irfft(
     return buf
 
 
-def _prepass(grid: np.ndarray, pool=None) -> None:
+def _prepass(grid: np.ndarray) -> None:
     """C from the packed X, in place on the grid, pairing bin k with bin L-k:
     with E = g_k*(X[k] - conj X[L-k]), C[k] = conj X[L-k] + E and, as
     g_(L-k) = 1/2 + conj h_k, C[L-k] = conj(X[k] - E).
@@ -301,13 +301,11 @@ def _prepass(grid: np.ndarray, pool=None) -> None:
     up to its midpoint.  A pairing goes a block of rows at a time over
     chunks of its columns.  The middle column of an odd L2 and the bin L/2
     of an even L pair with themselves.  The temporaries are block buffers
-    of at most _BLOCK points and the L1/2 + 1 row roots; each thread pairs
-    its share of a pairing's rows through its own buffers."""
+    of at most _BLOCK points and the L1/2 + 1 row roots."""
     l1, l2 = grid.shape
     order = 2 * l1 * l2
-    threads = _THREADS if pool else 1
-    size = min(_BLOCK // threads, l1 * l2)
-    scratch = [tuple(np.empty((3, size), complex)) for _ in range(threads)]
+    size = min(_BLOCK, l1 * l2)
+    g, w, t = np.empty((3, size), complex)
     x0, nyquist = grid[0, 0].real, grid[0, 0].imag
     grid[0, 0] = complex(0.5 * (x0 + nyquist), 0.5 * (x0 - nyquist))
     mid = l1 // 2
@@ -322,19 +320,14 @@ def _prepass(grid: np.ndarray, pool=None) -> None:
         if not rows * cols:
             continue
         lo, hi = part[:rows, :cols], part[::-1, ::-1][:rows, :cols]
-
-        def pair(i: int, top: int, end: int) -> None:
-            g, w, t = scratch[i]
-            for c, e in _chunks(cols, size):
-                cr = _roots(np.arange(l1 * (c0 + c), l1 * (c0 + e), l1, dtype=complex), order)
-                step = size // (e - c)
-                for a in range(top, end, step):
-                    block = lo[a : min(a + step, end), c:e]
-                    roots = g[: block.size].reshape(block.shape)
-                    np.multiply(rr[r0 + a : r0 + a + len(block)], cr, out=roots)
-                    _pair(block, hi[a : a + len(block), c:e], roots, w, t)
-
-        _split(pool, pair, rows)
+        for c, e in _chunks(cols, size):
+            cr = _roots(np.arange(l1 * (c0 + c), l1 * (c0 + e), l1, dtype=complex), order)
+            step = size // (e - c)
+            for a in range(0, rows, step):
+                block = lo[a : a + step, c:e]
+                roots = g[: block.size].reshape(block.shape)
+                np.multiply(rr[r0 + a : r0 + a + len(block)], cr, out=roots)
+                _pair(block, hi[a : a + step, c:e], roots, w, t)
 
 
 def _pair(lo: np.ndarray, hi: np.ndarray, g: np.ndarray, w: np.ndarray, t: np.ndarray) -> None:
@@ -381,15 +374,17 @@ def _roots(k: np.ndarray, order: int) -> np.ndarray:
 
 
 # points per block of the normal draw (each of its two buffers), the
-# covariance build, _irfft's passes and the volume pass; split between T
-# threads, a pass gives each thread buffers of _BLOCK/T points
+# covariance build, _irfft's passes and the volume pass; the covariance
+# build on T threads gives each thread buffers of _BLOCK/T points
 _BLOCK = 1 << 14
-# the threads of _irfft's passes, at most one per CPU this process may run
-# on; a transform keeping fewer than _THREADED blocks of points runs on one:
-# on a 2-CPU host two threads lost a few per cent at 2**19 points and won
-# about 20 per cent at 2**21
-_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+# the CPUs this process may run on (its affinity, where the platform has
+# one), read at import; it caps the threads of _irfft's passes here and the
+# worker processes of an ensemble (abprobe.experiment)
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# the threads of _irfft's passes; a transform keeping fewer than _THREADED
+# blocks of points runs on one: on a 2-CPU host two threads lost a few per
+# cent at 2**19 points and won about 20 per cent at 2**21
+_THREADS = min(2, CPUS)
 _THREADED = 64
 
 
@@ -421,12 +416,12 @@ def _fft_inplace(grid: np.ndarray, pool=None) -> None:
 
     Four-step (Bailey 1990): transform along the rows, twiddle, transform
     along the columns.  numpy transforms a batch one lane at a time, so the
-    only scratch is a lane per thread, beside the twiddle's block buffers.  It reads
-    the input in natural order along grid.T, input k at grid[k % L1, k // L1],
-    and leaves the output in natural order in grid.reshape(-1).  With L1 = 1
-    (a prime L) the grid is one lane and takes no twiddle.  Each thread
-    transforms its share of the rows, then twiddles and transforms its
-    share of the columns.
+    only scratch is a lane per thread, beside the twiddle's block buffers.
+    It reads the input in natural order along grid.T, input k at
+    grid[k % L1, k // L1], and leaves the output in natural order in
+    grid.reshape(-1).  With L1 = 1 (a prime L) the grid is one lane and
+    takes no twiddle.  With a pool, each thread transforms its share of the
+    rows, then of the columns; the twiddle runs on the calling thread.
     """
     l1, l2 = grid.shape
 
@@ -442,23 +437,17 @@ def _fft_inplace(grid: np.ndarray, pool=None) -> None:
         order = l1 * l2
         step = math.isqrt(l1)
         lanes = range(0, l1, step)  # the first row of each lane
-        threads = _THREADS if pool else 1
-        width = min(l2, max(1, _BLOCK // threads // (step + len(lanes))))
-        chunks = _chunks(l2, width)
-        prod = np.empty((threads, step * width), complex)
-
-        def twiddle(i: int, lo: int, hi: int) -> None:
-            for c, e in chunks[lo:hi]:
-                j2 = np.arange(c, e, dtype=complex)
-                near = _roots(np.multiply.outer(np.arange(step), j2), order)
-                far = _roots(np.multiply.outer(lanes, j2), order)
-                for a, lane in zip(lanes, far):
-                    rows = grid[a : a + step, c:e]
-                    p = prod[i, : rows.size].reshape(rows.shape)
-                    np.multiply(near[: len(rows)], lane, out=p)
-                    rows *= p
-
-        _split(pool, twiddle, len(chunks))
+        width = min(l2, max(1, _BLOCK // (step + len(lanes))))
+        prod = np.empty(step * width, complex)
+        for c, e in _chunks(l2, width):
+            j2 = np.arange(c, e, dtype=complex)
+            near = _roots(np.multiply.outer(np.arange(step), j2), order)
+            far = _roots(np.multiply.outer(lanes, j2), order)
+            for a, lane in zip(lanes, far):
+                rows = grid[a : a + step, c:e]
+                p = prod[: rows.size].reshape(rows.shape)
+                np.multiply(near[: len(rows)], lane, out=p)
+                rows *= p
     _split(pool, partial(ifft, 0), l2)
 
 

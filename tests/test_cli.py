@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import abprobe.experiment
+import abprobe.fbm
 import abprobe.path
 from abprobe.cli import SCENARIO_FLAGS, _scenario, build_parser, main
 from abprobe.experiment import COMPARE_HEADER, ESTIMATE_HEADER, SWEEP_HEADER, RunConfig
@@ -166,7 +167,7 @@ def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     monkeypatch.setattr(abprobe.experiment, "ProcessPoolExecutor", NoPool)
-    monkeypatch.setattr(abprobe.experiment.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(abprobe.fbm, "CPUS", 2)
     one = peak_bytes([trace_key(RunConfig(sequences=300))])
     monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", 3 * one // 2)
     out = tmp_path / "x.csv"

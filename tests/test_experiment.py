@@ -246,7 +246,7 @@ def test_sweep_forks_after_a_threaded_synthesis():
         "from abprobe import experiment, fbm\n"
         "from abprobe.experiment import RunConfig, sweep\n"
         "fbm._THREADS = 2\n"
-        "experiment.os.cpu_count = lambda: 2\n"
+        "fbm.CPUS = 2\n"
         "base = RunConfig(sequences=320, seed=5)\n"
         "params = base.finalize().fbm_params()\n"
         "assert params.n_samples > fbm._THREADED * fbm._BLOCK\n"
@@ -285,7 +285,7 @@ def test_worker_pool_capped_by_seeds_and_cpus(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(fbm, "CPUS", 3)
     seeds = [4, 2, 7, 1, 0]
     out = experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=64)
     assert list(out) == seeds and out[7] == ("p", 7)

@@ -879,12 +879,14 @@ def refuse_pool(*args, **kwargs):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets the CPU affinity")
 def test_thread_count_follows_the_cpus_the_process_may_run_on():
-    # one CPU, and the module runs every pass on the calling thread
+    # one CPU: the module runs every pass on the calling thread, and an
+    # ensemble of two workers on four seeds runs in this process
     src = str(Path(fbm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " \
-        "from abprobe import fbm; print(fbm._THREADS)"
+        "from abprobe import experiment, fbm; " \
+        "print(fbm._THREADS, experiment._pool_size(2, 4))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "1"
-    assert fbm._THREADS == min(2, len(os.sched_getaffinity(0)))
+    assert out.stdout.split() == ["1", "1"]
+    assert fbm._THREADS == min(2, fbm.CPUS) and fbm.CPUS == len(os.sched_getaffinity(0))
