@@ -21,7 +21,6 @@ from .kalman import (
     EstimateRecord,
     FilterConfig,
     FilterState,
-    ab_estimate,
     initial_state,
     predict,
     process_sequence,

@@ -193,7 +193,12 @@ def required_m(coeffs: EmpiricalCoeffs, p: int, xi_target: float) -> int:
     """
     if not (math.isfinite(xi_target) and xi_target > 0):
         raise ValueError(f"xi_target must be a finite number > 0, got {xi_target}")
-    raw = (coeffs.a * math.exp(1.1 * p) / (xi_target * (p**2 + p))) ** (1.0 / coeffs.b)
+    try:
+        raw = (coeffs.a * math.exp(1.1 * p) / (xi_target * (p**2 + p))) ** (1.0 / coeffs.b)
+    except OverflowError:
+        raise ValueError(
+            f"xi_target={xi_target} needs over 1e308 packets per sequence at P={p}; raise xi_target"
+        ) from None
     m = max(2 * p + 1, math.ceil(raw - 0.5))
     while (m - 1) % p != 0:
         m += 1

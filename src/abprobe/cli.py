@@ -65,7 +65,7 @@ SCENARIO_FLAGS = {
     "--initial-ab": ("initial_ab", float, "initial AB guess, bits/s"),
     "--seed": ("seed", int, "RNG seed"),
     "--reset-queue": ("reset_queue", Switch(True), "reset the bottleneck queue before every sequence"),
-    "--no-gating": ("gate_threshold", Switch(None), "disable congestion gating of zero-strain portions"),
+    "--no-gating": ("gate_threshold", Switch(0.0), "disable congestion gating of zero-strain portions"),
     "--dt": ("dt", float, "traffic grid spacing, s (default packet_bits/4C)"),
 }
 
@@ -142,6 +142,8 @@ def _load_config_file(path: str) -> dict:
         dest, kind, _ = SCENARIO_FLAGS[flag]
         if not isinstance(kind, Switch):
             merged[dest] = value
+        elif not isinstance(value, bool):
+            raise ValueError(f"config key {flag[2:]!r} is a switch: give true or false, got {value!r}")
         elif value:
             merged[dest] = kind.const
     return merged
@@ -235,14 +237,8 @@ def _cmd_model_eval(args) -> int:
             f"xi_target={_fmt(args.xi_target)} -> M={m}"
         )
         if args.out:
-            _write_rows(
-                args.out,
-                TARGET_HEADER,
-                [{
-                    "P": p, "C": base.capacity, "a": coeffs.a, "b": coeffs.b,
-                    "xi_target": args.xi_target, "M": m,
-                }],
-            )
+            row = dict(zip(TARGET_HEADER, (p, base.capacity, coeffs.a, coeffs.b, args.xi_target, m)))
+            _write_rows(args.out, TARGET_HEADER, [row])
         return 0
 
     rows = model_grid_rows(base, packets=packets, portions=portions)
@@ -285,10 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """ValueError naming the first output that is not a writable file in an existing directory."""
+    for flag, path in (("--out", args.out), ("--event-log", getattr(args, "event_log", None))):
+        if not path:
+            continue
+        target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ValueError(f"{flag} {path} is not a writable file in an existing directory")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

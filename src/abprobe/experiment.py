@@ -27,7 +27,7 @@ import numpy as np
 from . import fbm
 from .analysis import AnalyticParams, analytic_xi, empirical_xi, lookup_coeffs, normalized_mse
 from .fbm import FbmParams, peak_bytes
-from .kalman import GATE_THRESHOLD_DEFAULT, FilterConfig, initial_state, process_sequence
+from .kalman import FilterConfig, initial_state, process_sequence
 from .path import HopWorkload, PathModel, strain_bounds_check, transit_sequence
 from .probing import (
     ProbeSchedule,
@@ -122,7 +122,7 @@ class RunConfig:
     lam: float = FilterConfig.lam
     psi0: float = 0.02
     initial_ab: float | None = None
-    gate_threshold: float | None = GATE_THRESHOLD_DEFAULT
+    gate_threshold: float = FilterConfig.gate_threshold
     seed: int = 0
     reset_queue: bool = False
     dt: float | None = None
@@ -170,6 +170,13 @@ class RunConfig:
             raise ValueError(
                 f"a worst-case sequence spans {worst_span:.4g}s but sequences start "
                 f"every {SEQUENCE_GAP}s; raise rate_min or shrink packets/packet_size"
+            )
+        tick = 2 * math.ulp(cfg.horizon)  # a shorter gap rounds send times together
+        if packet_bits / rate_max <= tick:
+            raise ValueError(
+                f"the shortest probe gap, 8*packet_size/rate_max = {packet_bits / rate_max:.3g}s, "
+                f"must exceed {tick:.3g}s, two float steps of the clock at the "
+                f"{cfg.horizon:g}s horizon; lower rate_max or raise packet_size"
             )
         if dt >= SEQUENCE_GAP:
             raise ValueError(
@@ -253,9 +260,7 @@ class ExperimentReport:
 
     @property
     def xi(self) -> float:
-        return normalized_mse(
-            np.column_stack([self.true_ab, self.ab_hat]), self.config.capacity
-        )
+        return self.xi_after(0)
 
     def xi_after(self, burn_in: int) -> float:
         return normalized_mse(

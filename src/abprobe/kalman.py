@@ -7,6 +7,8 @@ update per probing sequence: each portion contributes a scalar measurement
 row [u_p, 1] with noise variance R_p; because R is diagonal the P scalar
 updates are algebraically identical to the joint vector update while costing
 O(P) instead of a PxP inversion (update_vector remains as the oracle).
+Congestion gating drops a portion whose |z| is below gate_threshold; a
+threshold of 0 keeps every portion.
 
 Internally rates and alpha are nondimensionalized by c_ref so both state
 components are O(1) and a single process-noise level acts comparably on
@@ -16,7 +18,7 @@ both.  Everything exposed is in bits/s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +32,9 @@ __all__ = [
     "predict",
     "update_sequential",
     "update_vector",
-    "ab_estimate",
     "process_sequence",
 ]
 
-GATE_THRESHOLD_DEFAULT = 0.005
 # degeneracy threshold on the normalized alpha_hat*c_ref: at or below it the
 # readout holds the previous sequence's value
 ALPHA_MIN = 1e-3
@@ -52,7 +52,7 @@ class FilterConfig:
     lam         process-noise level, per-step variance added to each
                 normalized state component
     gate_threshold  |z| below this drops the portion from the update
-                    (None disables gating)
+                    (>= 0; 0 keeps every portion)
     """
 
     c_ref: float
@@ -60,7 +60,7 @@ class FilterConfig:
     initial_ab: float
     ab_cap: float
     lam: float = 1e-4
-    gate_threshold: float | None = GATE_THRESHOLD_DEFAULT
+    gate_threshold: float = 0.005
 
     def __post_init__(self) -> None:
         if self.c_ref <= 0:
@@ -69,6 +69,8 @@ class FilterConfig:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if self.psi0 < 0:
             raise ValueError(f"psi0 must be >= 0, got {self.psi0}")
+        if not self.gate_threshold >= 0:
+            raise ValueError(f"gate_threshold must be >= 0, got {self.gate_threshold}")
 
 
 @dataclass(frozen=True)
@@ -97,42 +99,36 @@ class EstimateRecord:
     ab_hat: float
     raw_ab: float
     portions_used: int
-    degenerate: bool = False
+    degenerate: bool
+
+
+def _state(x0, x1, p00, p01, p11, lam: float, c_ref: float) -> FilterState:
+    return FilterState(np.array([x0, x1]), np.array([[p00, p01], [p01, p11]]), lam, c_ref)
 
 
 def initial_state(config: FilterConfig) -> FilterState:
-    x = np.array([1.0, -config.initial_ab / config.c_ref])
-    psi = config.psi0 * np.eye(2)
-    return FilterState(x=x, psi=psi, lam=config.lam, c_ref=config.c_ref)
+    psi0 = config.psi0
+    return _state(1.0, -config.initial_ab / config.c_ref, psi0, 0.0, psi0, config.lam, config.c_ref)
 
 
 def predict(state: FilterState) -> FilterState:
     """Random-walk time update: mean unchanged, covariance grows by lam*I."""
-    return FilterState(
-        x=state.x.copy(),
-        psi=state.psi + state.lam * np.eye(2),
-        lam=state.lam,
-        c_ref=state.c_ref,
-    )
+    return replace(state, x=state.x.copy(), psi=state.psi + state.lam * np.eye(2))
 
 
-def update_sequential(
-    state: FilterState,
-    meas: StrainMeasurement,
-    gate_threshold: float | None = None,
-) -> FilterState:
-    """P scalar updates in portion order, Joseph-stabilized.
+def _joseph(x0, x1, p00, p01, p11, meas: StrainMeasurement, c_ref: float, gate: float):
+    """Gated scalar Joseph updates of the normalized state in portion order,
+    in plain floats: ((x0, x1, p00, p01, p11), portions used).
 
     Each row h = [u_p, 1] gives the gain k = Psi h / (h' Psi h + R_p) and
     Psi <- (I - k h') Psi (I - k h')' + R_p k k', written out for the 2x2
-    case in plain floats.  Gated portions are skipped; with every portion
-    gated this is a no-op.
+    case.  A portion with |z| below gate is skipped.
     """
-    (x0, x1), (p00, p01), (_, p11) = state.x.tolist(), *state.psi.tolist()
-    rows = zip((meas.rates / state.c_ref).tolist(), meas.z.tolist(), meas.r_diag.tolist())
-    for u, z, r in rows:
-        if gate_threshold is not None and not abs(z) >= gate_threshold:
+    used = 0
+    for u, z, r in zip((meas.rates / c_ref).tolist(), meas.z.tolist(), meas.r_diag.tolist()):
+        if not abs(z) >= gate:
             continue
+        used += 1
         ph0 = p00 * u + p01
         ph1 = p01 * u + p11
         s = u * ph0 + ph1 + r
@@ -149,18 +145,27 @@ def update_sequential(
         p00 = b00 * a00 + b01 * a01 + r * k0 * k0
         p11 = b10 * a10 + b11 * a11 + r * k1 * k1
         p01 = 0.5 * ((b00 * a10 + b01 * a11) + (b10 * a00 + b11 * a01)) + r * k0 * k1
-    return FilterState(
-        x=np.array([x0, x1]),
-        psi=np.array([[p00, p01], [p01, p11]]),
-        lam=state.lam,
-        c_ref=state.c_ref,
-    )
+    return (x0, x1, p00, p01, p11), used
+
+
+def update_sequential(
+    state: FilterState,
+    meas: StrainMeasurement,
+    gate_threshold: float = 0.0,
+) -> FilterState:
+    """P scalar Joseph updates in portion order; gated portions are skipped,
+    and with every portion gated this is a no-op."""
+    if not gate_threshold >= 0:
+        raise ValueError(f"gate_threshold must be >= 0, got {gate_threshold}")
+    (x0, x1), (p00, p01), (_, p11) = state.x.tolist(), *state.psi.tolist()
+    post, _ = _joseph(x0, x1, p00, p01, p11, meas, state.c_ref, gate_threshold)
+    return _state(*post, state.lam, state.c_ref)
 
 
 def update_vector(
     state: FilterState,
     meas: StrainMeasurement,
-    gate_threshold: float | None = None,
+    gate_threshold: float = 0.0,
 ) -> FilterState:
     """Joint update with the full P x 2 measurement matrix (oracle path).
 
@@ -169,9 +174,7 @@ def update_vector(
     """
     keep = gate_mask(meas, gate_threshold)
     if not np.any(keep):
-        return FilterState(
-            x=state.x.copy(), psi=state.psi.copy(), lam=state.lam, c_ref=state.c_ref
-        )
+        return replace(state, x=state.x.copy(), psi=state.psi.copy())
     u = meas.rates[keep] / state.c_ref
     z = meas.z[keep]
     r = meas.r_diag[keep]
@@ -182,47 +185,31 @@ def update_vector(
     x = state.x + K @ (z - H @ state.x)
     ikh = np.eye(2) - K @ H
     psi = ikh @ psi @ ikh.T + (K * r) @ K.T
-    return FilterState(x=x, psi=0.5 * (psi + psi.T), lam=state.lam, c_ref=state.c_ref)
+    return replace(state, x=x, psi=0.5 * (psi + psi.T))
 
 
-def ab_estimate(
-    state: FilterState,
-    config: FilterConfig,
-    last_ab: float | None = None,
-    portions_used: int = 0,
-) -> EstimateRecord:
-    """AB readout -beta_hat/alpha_hat, clamped to [0, ab_cap].
-
-    A near-zero (or negative) alpha_hat makes the ratio meaningless; such
-    sequences are flagged degenerate and hold the previous estimate rather
-    than emitting an unbounded value.
-    """
-    alpha = state.alpha_hat
-    beta = state.beta_hat
+def _readout(alpha: float, beta: float, config: FilterConfig, last_ab: float):
+    """AB readout -beta/alpha clamped to [0, ab_cap]: (ab_hat, raw_ab, degenerate).
+    A near-zero (or negative) alpha makes the ratio meaningless; that readout
+    is flagged degenerate and holds last_ab rather than an unbounded value."""
     if alpha != 0.0:
         raw = -beta / alpha
-    elif beta != 0.0:
-        raw = math.inf if -beta > 0 else -math.inf
     else:
-        raw = math.nan
-    if last_ab is None:
-        last_ab = config.initial_ab
-    if alpha <= ALPHA_MIN / config.c_ref:
-        ab = min(max(last_ab, 0.0), config.ab_cap)
-        return EstimateRecord(ab_hat=ab, raw_ab=raw, portions_used=portions_used, degenerate=True)
-    ab = min(max(raw, 0.0), config.ab_cap)
-    return EstimateRecord(ab_hat=ab, raw_ab=raw, portions_used=portions_used)
+        raw = math.nan if beta == 0.0 else math.inf if -beta > 0 else -math.inf
+    degenerate = alpha <= ALPHA_MIN / config.c_ref
+    return min(max(last_ab if degenerate else raw, 0.0), config.ab_cap), raw, degenerate
 
 
 def process_sequence(
     state: FilterState,
     meas: StrainMeasurement,
     config: FilterConfig,
-    last_ab: float | None = None,
+    last_ab: float,
 ) -> tuple[FilterState, EstimateRecord]:
-    """One full filter step per probing sequence: predict, update, read out."""
-    st = predict(state)
-    st = update_sequential(st, meas, config.gate_threshold)
-    used = int(gate_mask(meas, config.gate_threshold).sum())
-    record = ab_estimate(st, config, last_ab=last_ab, portions_used=used)
-    return st, record
+    """One full filter step per probing sequence: predict (Psi + lam*I),
+    the gated updates, and the readout, which holds last_ab when degenerate."""
+    (x0, x1), (p00, p01), (_, p11) = state.x.tolist(), *state.psi.tolist()
+    lam, gate = state.lam, config.gate_threshold
+    post, used = _joseph(x0, x1, p00 + lam, p01, p11 + lam, meas, state.c_ref, gate)
+    ab, raw, degenerate = _readout(post[0] / state.c_ref, post[1], config, last_ab)
+    return _state(*post, lam, state.c_ref), EstimateRecord(ab, raw, used, degenerate)

@@ -165,10 +165,6 @@ class StrainMeasurement:
         if np.any(self.r_diag <= 0):
             raise ValueError("r_diag entries must be positive")
 
-    @property
-    def p(self) -> int:
-        return self.z.shape[-1]
-
 
 def reduce_measurement(strains: np.ndarray, schedule: ProbeSchedule) -> StrainMeasurement:
     """Portion means and (n-1)-denominator sample variances of pair strains.
@@ -192,13 +188,13 @@ def reduce_measurement(strains: np.ndarray, schedule: ProbeSchedule) -> StrainMe
     )
 
 
-def gate_mask(meas: StrainMeasurement, threshold: float | None) -> np.ndarray:
+def gate_mask(meas: StrainMeasurement, threshold: float) -> np.ndarray:
     """Congestion gate: keep portions with |z| >= threshold.
 
     The linear strain law only holds above the congestion break; a portion
     probing below it reports zero strain and would drag the fitted line flat.
-    threshold=None keeps every portion.
+    threshold=0 keeps every portion; a negative one is refused.
     """
-    if threshold is None:
-        return np.ones(meas.p, dtype=bool)
+    if not threshold >= 0:
+        raise ValueError(f"gate_threshold must be >= 0, got {threshold}")
     return np.abs(meas.z) >= threshold

@@ -206,6 +206,12 @@ def test_required_m_power_law_scaling():
     assert m2 / m1 == pytest.approx(2 ** (1 / 0.5), rel=0.05)
 
 
+def test_required_m_beyond_float_range_is_a_value_error():
+    # the power overflows a float: a ValueError naming the target, not an OverflowError
+    with pytest.raises(ValueError, match="xi_target=1e-300 .* raise xi_target"):
+        required_m(coeffs_c10_p3(), 3, 1e-300)
+
+
 def test_required_m_rejects_nonpositive_target():
     with pytest.raises(ValueError):
         required_m(coeffs_c10_p3(), 3, 0.0)

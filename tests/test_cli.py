@@ -237,6 +237,7 @@ def test_run_options_in_config_file_exit_2(tmp_path, capsys, monkeypatch):
         ("sequences", 5.5, "sequences must be an integer"),
         ("capacity", "1e7", "capacity must be a number"),
         ("reset_queue", 1, "reset_queue must be true or false"),
+        ("gate_threshold", None, "gate_threshold must be a number"),
     ],
 )
 def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
@@ -248,7 +249,11 @@ def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
 
 @pytest.mark.parametrize(
     "flags, file_cfg, message",
-    [(["--lambda", "-1"], {}, "lam must be >= 0"), ([], {"psi0": -1}, "psi0 must be >= 0")],
+    [
+        (["--lambda", "-1"], {}, "lam must be >= 0"),
+        ([], {"psi0": -1}, "psi0 must be >= 0"),
+        ([], {"gate_threshold": -0.1}, "gate_threshold must be >= 0"),
+    ],
 )
 def test_bad_filter_values_exit_2_before_synthesis(
     tmp_path, capsys, monkeypatch, flags, file_cfg, message
@@ -324,6 +329,73 @@ def test_run_with_one_path_for_csv_and_event_log_exits_2(tmp_path, capsys, monke
         assert main(["run", "--sequences", "5", "--out", str(out), "--event-log", str(log)]) == 2
         assert "--out and --event-log name the same file" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["false", "no", 1, 0, None])
+def test_config_switch_other_than_true_or_false_exits_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no-gating": value}))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "'no-gating' is a switch: give true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_switch_true_is_the_flag_and_false_the_default(tmp_path):
+    outs = {}
+    on = {"no-gating": True, "reset-queue": True}
+    off = {"no-gating": False, "reset-queue": False}
+    for name, file_cfg, flags in [("flag", {}, ["--no-gating", "--reset-queue"]), ("true", on, []),
+                                  ("default", {}, []), ("false", off, [])]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(file_cfg))
+        outs[name] = tmp_path / f"{name}.csv"
+        assert main(["run", *FAST, "--config", str(cfg), *flags, "--out", str(outs[name])]) == 0
+    assert outs["flag"].read_bytes() == outs["true"].read_bytes()
+    assert outs["default"].read_bytes() == outs["false"].read_bytes()
+    assert outs["flag"].read_bytes() != outs["default"].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        (["run", "--out", "{missing}/a.csv"], "--out {missing}/a.csv"),
+        (["run", "--out", "{tmp}/a.csv", "--event-log", "{missing}/e.csv"],
+         "--event-log {missing}/e.csv"),
+        (["run", "--out", "{tmp}"], "--out {tmp} is not a writable file"),
+        (["sweep", "--out", "{missing}/s.csv"], "--out {missing}/s.csv"),
+        (["compare-bart", "--out", "{tmp}"], "--out {tmp} is not a writable file"),
+        (["model-eval", "--xi-target", "0.01", "--out", "{missing}/m.csv"], "--out {missing}/m.csv"),
+    ],
+    ids=["run-missing-dir", "event-log-missing-dir", "run-directory", "sweep-missing-dir",
+         "compare-directory", "model-eval-missing-dir"],
+)
+def test_unwritable_output_exits_2_before_synthesis(tmp_path, capsys, monkeypatch, argv, culprit):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    names = {"tmp": str(tmp_path), "missing": str(tmp_path / "missing")}
+    argv = [arg.format(**names) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert culprit.format(**names) in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--rate-max", "1e30"], ["run", "--rate-max", "1e22"],
+     ["sweep", "--rate-max", "1e22", "--packet-size", "500,1500"]],
+)
+def test_probe_gaps_below_clock_resolution_exit_2_before_synthesis(
+    tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--sequences", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "8*packet_size/rate_max" in err and "lower rate_max or raise packet_size" in err
+    assert not out.exists()
 
 
 def test_lambda_config_key_sets_lam(tmp_path, capsys, monkeypatch):
@@ -542,6 +614,13 @@ def test_model_eval_target_bad_input_exits_2(tmp_path, capsys, flags, message):
     assert captured.out == ""
     assert message in captured.err
     assert not out.exists()
+
+
+def test_model_eval_target_beyond_float_range_exits_2(capsys):
+    assert main(["model-eval", "--xi-target", "1e-300", "--portions", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "xi_target=1e-300" in captured.err and "1e308 packets" in captured.err
 
 
 def test_model_eval_rejects_p_outside_table():

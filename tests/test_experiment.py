@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
@@ -60,6 +61,26 @@ def test_finalize_fills_capacity_scaled_defaults():
 def test_finalize_rejects_overflowing_sequences():
     with pytest.raises(ValueError, match="rate_min"):
         RunConfig(rate_min=1e4).finalize()
+
+
+def test_finalize_rejects_probe_gaps_below_clock_resolution():
+    # the shortest gap, 8*packet_size/rate_max, must exceed two float steps
+    # of the send times at the horizon, or consecutive ones round together
+    for rate_max in (1e22, 1e30):
+        with pytest.raises(ValueError, match="rate_max .* lower rate_max or raise packet_size"):
+            RunConfig(sequences=5, rate_max=rate_max).finalize()
+    edge = 8 * 1500.0 / (2 * math.ulp(RunConfig(sequences=5).horizon))
+    with pytest.raises(ValueError, match="must exceed"):
+        RunConfig(sequences=5, rate_max=edge).finalize()
+    assert run(RunConfig(sequences=5, rate_max=edge / 1.5)).n == 5
+
+
+def test_finalize_refuses_gate_threshold_none_or_negative():
+    # 0 keeps every portion; there is no None mode
+    with pytest.raises(ValueError, match="gate_threshold must be a number"):
+        RunConfig(gate_threshold=None).finalize()
+    with pytest.raises(ValueError, match="gate_threshold must be >= 0"):
+        RunConfig(gate_threshold=-1e-3).finalize()
 
 
 def test_finalize_keeps_explicit_values():

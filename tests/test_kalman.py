@@ -6,14 +6,13 @@ from abprobe.kalman import (
     EstimateRecord,
     FilterConfig,
     FilterState,
-    ab_estimate,
     initial_state,
     predict,
     process_sequence,
     update_sequential,
     update_vector,
 )
-from abprobe.probing import StrainMeasurement
+from abprobe.probing import StrainMeasurement, gate_mask
 
 C_REF = 1.2e7
 
@@ -182,38 +181,43 @@ def cfg(**kw):
     return FilterConfig(**base)
 
 
+def readout(x, last_ab=0.5 * C_REF):
+    """The AB readout of state x: a process_sequence step that neither
+    predicts (lam 0) nor updates (its one portion gated)."""
+    state = make_state(x=x, lam=0.0)
+    new_state, rec = process_sequence(state, make_meas([0.0], [C_REF], [1.0]), cfg(), last_ab)
+    assert rec.portions_used == 0
+    assert np.array_equal(new_state.x, state.x) and np.array_equal(new_state.psi, state.psi)
+    return rec
+
+
 def test_ab_estimate_example_value():
     # alpha = 1e-7 s/bit, beta = -0.62 -> 6.2 Mbit/s
-    state = make_state(x=(1e-7 * C_REF, -0.62))
-    rec = ab_estimate(state, cfg())
+    rec = readout((1e-7 * C_REF, -0.62))
     assert rec.ab_hat == pytest.approx(6.2e6, rel=1e-12)
     assert not rec.degenerate
 
 
 def test_ab_estimate_clamps_negative():
-    state = make_state(x=(1e-7 * C_REF, 0.3))  # beta >= 0 -> raw <= 0
-    rec = ab_estimate(state, cfg())
+    rec = readout((1e-7 * C_REF, 0.3))  # beta >= 0 -> raw <= 0
     assert rec.raw_ab < 0
     assert rec.ab_hat == 0.0
 
 
 def test_ab_estimate_exact_inversion():
     c, y = 1e7, 4e6
-    state = make_state(x=((1.0 / c) * C_REF, (y - c) / c))
-    rec = ab_estimate(state, cfg())
+    rec = readout(((1.0 / c) * C_REF, (y - c) / c))
     assert rec.ab_hat == pytest.approx(c - y, rel=1e-12)
 
 
 def test_ab_estimate_degenerate_holds_last():
-    state = make_state(x=(1e-12 * C_REF, -0.5))  # alpha below 1e-3/c_ref
-    rec = ab_estimate(state, cfg(), last_ab=3.3e6)
+    rec = readout((1e-12 * C_REF, -0.5), last_ab=3.3e6)  # alpha below 1e-3/c_ref
     assert rec.degenerate
     assert rec.ab_hat == 3.3e6
 
 
 def test_ab_estimate_cap():
-    state = make_state(x=(0.01, -1.0))  # raw = c_ref/0.01 >> cap
-    rec = ab_estimate(state, cfg())
+    rec = readout((0.01, -1.0))  # raw = c_ref/0.01 >> cap
     assert rec.ab_hat == C_REF
 
 
@@ -245,6 +249,31 @@ def test_process_sequence_all_gated_carries_over():
     assert np.array_equal(new_state.x, state.x)
     assert np.allclose(new_state.psi, state.psi + config.lam * np.eye(2))
     assert rec.ab_hat == pytest.approx(-state.x[1] / state.x[0] * C_REF)
+
+
+@given(seed=st.integers(0, 300), p=st.integers(1, 6), gate=st.sampled_from([0.0, 0.005]))
+def test_process_sequence_is_the_step_the_oracle_replays(seed, p, gate):
+    # predict then update_sequential, bit for bit; the joint update to 1e-9
+    rng = np.random.default_rng(seed)
+    state, meas = random_case(rng, p)
+    z = meas.z * rng.choice([0.0, 1e-3, 1.0], p)  # zero, under the 0.005 gate, as drawn
+    meas = make_meas(z, meas.rates, meas.r_diag)
+    got, rec = process_sequence(state, meas, cfg(gate_threshold=gate), 0.5 * C_REF)
+    want = update_sequential(predict(state), meas, gate)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.psi, want.psi)
+    joint = update_vector(predict(state), meas, gate)
+    assert rel_diff(got.x, joint.x) < 1e-9
+    assert rel_diff(got.psi, joint.psi) < 1e-9
+    assert rec.portions_used == gate_mask(meas, gate).sum()
+
+
+def test_negative_gate_threshold_is_refused():
+    state, meas = random_case(np.random.default_rng(3), 2)
+    for op in (update_sequential, update_vector):
+        with pytest.raises(ValueError, match="gate_threshold must be >= 0"):
+            op(state, meas, -0.1)
+    with pytest.raises(ValueError, match="gate_threshold must be >= 0"):
+        cfg(gate_threshold=-0.1)
 
 
 def test_p1_step_matches_bart_configuration():
