@@ -9,7 +9,8 @@ flags (comma lists; integer ones also take ranges a:b and a:b:step) are
   compare-bart  --portions --initial-ab
   model-eval    --packets --portions
   run           none
-and --seeds / --workers belong to sweep and compare-bart.  An axis not given
+and --seeds belongs to sweep and compare-bart (one worker per seed, capped by
+the CPUs taskset allows and by physical memory).  An axis not given
 on the command line takes the scenario's value; model-eval --xi-target
 computes M from C and P alone, so it takes no other scenario flag.  Config
 keys name the flags' fields plus psi0; every other model value is a constant.
@@ -69,18 +70,27 @@ SCENARIO_FLAGS = {
     "--dt": ("dt", float, "traffic grid spacing, s (default packet_bits/4C)"),
 }
 
-_CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
+# config-file key ("-" read as "_") -> (RunConfig field, the flag's Switch or
+# None); a field name passes its value through as given
+_CONFIG_KEYS = {
+    **{flag[2:].replace("-", "_"): (dest, kind if isinstance(kind, Switch) else None)
+       for flag, (dest, kind, _) in SCENARIO_FLAGS.items()},
+    **{f.name: (f.name, None) for f in fields(RunConfig)},
+}
 
 
 def _values(kind):
     """argparse type: a comma list of kind; for int, a:b and a:b:step expand
-    to the half-open range."""
+    to the half-open range, which must not be empty."""
 
     def parse(text: str) -> list:
         out: list = []
         for part in filter(None, (p.strip() for p in text.split(","))):
             if kind is int and ":" in part:
-                out.extend(range(*(int(p) for p in part.split(":"))))
+                values = range(*(int(p) for p in part.split(":")))
+                if not values:
+                    raise argparse.ArgumentTypeError(f"empty range {part!r} in {text!r}")
+                out.extend(values)
             else:
                 out.append(kind(part))
         if not out:
@@ -91,16 +101,9 @@ def _values(kind):
     return parse
 
 
-def _worker_count(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def _add_flags(sub: argparse.ArgumentParser, axes: tuple = (), ensemble: bool = False) -> None:
     """The scenario flags, list-valued for the subcommand's axes, and its run
-    options; an ensemble takes --seeds and --workers."""
+    options; an ensemble takes --seeds."""
     for flag, (dest, kind, text) in SCENARIO_FLAGS.items():
         if isinstance(kind, Switch):
             value = {"action": "store_const", "const": kind.const}
@@ -112,7 +115,6 @@ def _add_flags(sub: argparse.ArgumentParser, axes: tuple = (), ensemble: bool = 
         sub.add_argument(flag, dest=dest, default=argparse.SUPPRESS, help=text, **value)
     if ensemble:
         sub.add_argument("--seeds", type=_values(int), default=None, help="seed list, e.g. 0:10 or 1,2,5")
-        sub.add_argument("--workers", type=_worker_count, default=1, help="worker processes")
     sub.add_argument("--out", type=str, default=None, help="output CSV path")
     sub.add_argument("--config", type=str, default=None, help="JSON config file (flag or field names as keys)")
 
@@ -127,25 +129,24 @@ def _load_config_file(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ValueError(f"config file {path} must hold a flat JSON object")
     merged: dict = {}
+    given: dict = {}  # field -> the key that set it
     for key, value in raw.items():
-        key = str(key).replace("-", "_")
-        if key in _CONFIG_FIELDS:
-            merged[key] = value
-            continue
-        flag = "--" + key.replace("_", "-")
-        if flag not in SCENARIO_FLAGS:
+        entry = _CONFIG_KEYS.get(key.replace("-", "_"))
+        if entry is None:
             raise ValueError(
                 f"unknown config key {key!r}; a config file holds scenario fields, and "
-                "run options (--seeds, --workers, --out, --paired, --event-log) go on "
-                "the command line"
+                "run options (--seeds, --out, --paired, --event-log) go on the command line"
             )
-        dest, kind, _ = SCENARIO_FLAGS[flag]
-        if not isinstance(kind, Switch):
+        dest, switch = entry
+        if dest in given:
+            raise ValueError(f"config keys {given[dest]!r} and {key!r} both set {dest}; give one")
+        given[dest] = key
+        if switch is None:
             merged[dest] = value
         elif not isinstance(value, bool):
-            raise ValueError(f"config key {flag[2:]!r} is a switch: give true or false, got {value!r}")
+            raise ValueError(f"config key {key!r} is a switch: give true or false, got {value!r}")
         elif value:
-            merged[dest] = kind.const
+            merged[dest] = switch.const
     return merged
 
 
@@ -199,7 +200,6 @@ def _cmd_sweep(args) -> int:
         capacities=getattr(args, "capacity", None),
         seeds=_ensemble_seeds(args, base),
         paired=args.paired,
-        max_workers=args.workers,
     )
     _write_rows(args.out, SWEEP_HEADER, rows)
     return 0
@@ -212,7 +212,6 @@ def _cmd_compare(args) -> int:
         portions=getattr(args, "portions", None),
         initial_abs=getattr(args, "initial_ab", None),
         seeds=_ensemble_seeds(args, base),
-        max_workers=args.workers,
     )
     _write_rows(args.out, COMPARE_HEADER, rows)
     return 0

@@ -292,7 +292,8 @@ def run(
     if path is None:
         n = params.n_samples
         peak = peak_bytes([(n, params.hurst)]) + PROBE_BYTES * cfg.sequences * cfg.packets
-        what = f"a run of {cfg.sequences} sequences of {cfg.packets} packets on a {n}-sample trace"
+        what = (f"a run of {cfg.sequences:.3g} sequences of {cfg.packets:.3g} packets "
+                f"on a {n:.3g}-sample trace")
         _check_memory(peak, what)
         path = PathModel(cfg.capacity, params)
     elif (path.params, path.capacity) != (params, cfg.capacity):
@@ -372,23 +373,23 @@ def _seed_task(args):
     return seed, xis
 
 
-def _pool_size(max_workers: int, n_seeds: int) -> int:
-    """Worker processes of an ensemble: at most one per seed and per fbm.CPUS."""
-    return min(max_workers, n_seeds, fbm.CPUS)
+def _pool_size(n_seeds: int, need: int) -> int:
+    """Worker processes of an ensemble whose workers each need `need` bytes:
+    one per seed, capped by fbm.CPUS and by how many fit in physical memory."""
+    return min(n_seeds, fbm.CPUS, PHYSICAL_MEMORY // need)
 
 
-def _map_seeds(task, base, payload, seeds, max_workers) -> dict:
+def _map_seeds(task, base, payload, seeds, workers) -> dict:
     """task((base, payload, seed)) -> (seed, result) for every seed, keyed by
-    seed; in a process pool of _pool_size workers when that is above one."""
+    seed; in a process pool of `workers` workers when that is above one."""
     tasks = [(base, payload, seed) for seed in seeds]
-    workers = _pool_size(max_workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             return dict(pool.map(task, tasks))
     return dict(map(task, tasks))
 
 
-def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[dict]:
+def _ensemble_rows(base, variants, seeds, columns, xi_key) -> list[dict]:
     """One row per (variant, seed) with that run's error under xi_key, then
     the seed mean and median; columns(cfg) gives a finalized variant's other
     columns.  Every seed (>= 0, each listed once) and every variant is
@@ -405,11 +406,11 @@ def _ensemble_rows(base, variants, seeds, max_workers, columns, xi_key) -> list[
     # each worker process synthesizes its seeds' traces one after another
     traces = {(c.fbm_params().n_samples, c.hurst) for c in cfgs}
     probes = max(c.sequences * c.packets for c in cfgs)
-    workers = _pool_size(max_workers, len(seeds))
-    what = (f"the ensemble of {len(traces)} traffic traces on {workers} worker(s), "
-            f"with up to {probes} probes (sequences x packets) per run")
-    _check_memory(workers * (peak_bytes(traces) + PROBE_BYTES * probes), what)
-    by_seed = _map_seeds(_seed_task, base, variants, seeds, max_workers)
+    need = peak_bytes(traces) + PROBE_BYTES * probes
+    what = (f"one worker of the ensemble of {len(traces)} traffic traces, "
+            f"with up to {probes:.3g} probes (sequences x packets) per run")
+    _check_memory(need, what)
+    by_seed = _map_seeds(_seed_task, base, variants, seeds, _pool_size(len(seeds), need))
     rows = []
     for idx, cfg in enumerate(cfgs):
         common = columns(cfg)
@@ -479,12 +480,11 @@ def sweep(
     capacities=None,
     seeds=(0,),
     paired: bool = False,
-    max_workers: int = 1,
 ) -> list[dict]:
     """Run the grid x seeds cross product; one row per (point, seed) plus
     seed-aggregated rows, with analytic and fitted-model overlays per point."""
     points = _grid_points(base, packets, portions, packet_sizes, capacities, paired)
-    return _ensemble_rows(base, points, seeds, max_workers, _sweep_columns, "xi_sim")
+    return _ensemble_rows(base, points, seeds, _sweep_columns, "xi_sim")
 
 
 # -- estimator comparisons -------------------------------------------------
@@ -503,7 +503,6 @@ def compare_bart(
     portions=None,
     initial_abs=None,
     seeds=(0,),
-    max_workers: int = 1,
 ) -> list[dict]:
     """Single-rate (P=1) versus multi-rate estimation on identical traffic.
 
@@ -514,7 +513,7 @@ def compare_bart(
     p_values = [1] + [p for p in (portions or [base.portions]) if p != 1]
     ab_values = list(initial_abs) if initial_abs is not None else [base.initial_ab]
     variants = [{"portions": p, "initial_ab": ab} for ab in ab_values for p in p_values]
-    return _ensemble_rows(base, variants, seeds, max_workers, _compare_columns, "xi")
+    return _ensemble_rows(base, variants, seeds, _compare_columns, "xi")
 
 
 def model_grid_rows(base: RunConfig, packets, portions) -> list[dict]:

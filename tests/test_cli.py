@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import shlex
 from dataclasses import fields
 from pathlib import Path
@@ -160,7 +161,8 @@ def test_ensemble_beyond_physical_memory_exits_2_before_synthesis(tmp_path, caps
 
 
 def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
-    # two workers each synthesize a trace: one fits, two at once do not
+    # two seeds on two CPUs, with memory for one worker: the sweep runs in
+    # this process and reaches synthesis; with memory for none it exits 2
     class NoPool:
         def __init__(self, max_workers):
             raise AssertionError("worker pool started")
@@ -169,22 +171,25 @@ def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(abprobe.experiment, "ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(abprobe.fbm, "CPUS", 2)
     one = peak_bytes([trace_key(RunConfig(sequences=300))])
-    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", 3 * one // 2)
+    probes = abprobe.experiment.PROBE_BYTES * 300 * RunConfig().packets
     out = tmp_path / "x.csv"
     argv = ["sweep", "--sequences", "300", "--seeds", "0,1", "--out", str(out)]
-    assert main([*argv, "--workers", "2"]) == 2
-    assert "ensemble of 1 traffic traces on 2 worker(s)" in capsys.readouterr().err
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", 3 * (one + probes) // 2)
     with pytest.raises(AssertionError, match="trace synthesis reached"):
-        main([*argv, "--workers", "1"])
+        main(argv)
+    monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", (one + probes) // 2)
+    assert main(argv) == 2
+    assert "one worker of the ensemble of 1 traffic traces" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
     ["run"],
-    ["sweep", "--seeds", "0,1", "--workers", "2"],  # raised in a worker process
+    ["sweep", "--seeds", "0,1"],  # on two CPUs, raised in a worker process
 ])
-def test_indefinite_embedding_exits_2(tmp_path, capsys, command):
+def test_indefinite_embedding_exits_2(tmp_path, capsys, monkeypatch, command):
     # H = 0.99 on ~1e6 samples: both embeddings round to indefinite
+    monkeypatch.setattr(abprobe.fbm, "CPUS", 2)
     out = tmp_path / "x.csv"
     assert main([*command, "--hurst", "0.99", "--sequences", "300", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -275,8 +280,8 @@ def test_bad_filter_values_exit_2_before_synthesis(
         ["compare-bart", "--capacity", "1e7,2e7"],
         ["model-eval", "--capacity", "1e7,7e7"],
         ["run", "--seeds", "3:6"],
-        ["sweep", "--workers", "0"],
-        ["sweep", "--workers", "-3"],
+        ["sweep", "--workers", "2"],  # the pool sizes itself; no subcommand takes it
+        ["compare-bart", "--workers", "1"],
     ],
 )
 def test_flag_a_subcommand_cannot_honour_exits_2(tmp_path, capsys, monkeypatch, argv):
@@ -355,6 +360,58 @@ def test_config_switch_true_is_the_flag_and_false_the_default(tmp_path):
     assert outs["flag"].read_bytes() == outs["true"].read_bytes()
     assert outs["default"].read_bytes() == outs["false"].read_bytes()
     assert outs["flag"].read_bytes() != outs["default"].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "file_cfg, keys",
+    [
+        ({"gate_threshold": 0.01, "no-gating": True}, "'gate_threshold' and 'no-gating'"),
+        ({"no-gating": True, "gate_threshold": 0.01}, "'no-gating' and 'gate_threshold'"),
+        ({"lam": 1e-3, "lambda": 2e-4}, "'lam' and 'lambda'"),
+        ({"packet-size": 500, "packet_size": 900}, "'packet-size' and 'packet_size'"),
+    ],
+    ids=["threshold-then-switch", "switch-then-threshold", "lam-lambda", "packet-size"],
+)
+def test_two_config_keys_for_one_field_exit_2(tmp_path, capsys, monkeypatch, file_cfg, keys):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(file_cfg))
+    out = tmp_path / "x.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"config keys {keys} both set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, part",
+    [
+        (["sweep", "--packets", "13,40:30"], "'40:30'"),
+        (["model-eval", "--packets", "16,5:2"], "'5:2'"),
+        (["compare-bart", "--seeds", "0,3:3"], "'3:3'"),
+    ],
+    ids=["sweep-packets", "model-eval-packets", "compare-seeds"],
+)
+def test_empty_range_in_a_list_exits_2(tmp_path, capsys, monkeypatch, argv, part):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--sequences", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"empty range {part}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--sequences", "5", "--dt", "1e-30"],  # a 31-digit sample count
+    ["sweep", "--seeds", "0,1", "--sequences", "100000", "--packets", "200000000",
+     "--packet-size", "1e-3", "--dt", "0.5"],  # 2e13 probes
+], ids=["run-samples", "sweep-probes"])
+def test_memory_guard_message_is_readable(capsys, monkeypatch, argv):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "GiB of physical memory" in err and len(err) < 400
+    assert not re.search(r"\d{7}", err)
 
 
 @pytest.mark.parametrize(

@@ -249,10 +249,12 @@ def test_sweep_paired_rejects_ragged_axes():
         sweep(small_config(), packets=[13, 22, 34], packet_sizes=[500.0, 900.0], paired=True)
 
 
-def test_sweep_worker_pool_matches_serial():
+def test_sweep_worker_pool_matches_serial(monkeypatch):
     base = small_config(sequences=15)
-    serial = sweep(base, packets=[13, 22], seeds=(0, 1), max_workers=1)
-    pooled = sweep(base, packets=[13, 22], seeds=(0, 1), max_workers=2)
+    monkeypatch.setattr(fbm, "CPUS", 1)
+    serial = sweep(base, packets=[13, 22], seeds=(0, 1))
+    monkeypatch.setattr(fbm, "CPUS", 2)
+    pooled = sweep(base, packets=[13, 22], seeds=(0, 1))
     assert serial == pooled
 
 
@@ -260,7 +262,7 @@ def test_sweep_forks_after_a_threaded_synthesis():
     # the transform's worker thread is joined inside each synthesis, so no
     # pool outlives it into the processes a sweep forks: after a trace above
     # the thread cutoff, a 2-worker sweep (whose traces are above it too)
-    # finishes with the 1-worker rows.  A pool that outlived its synthesis
+    # finishes with the serial rows.  A pool that outlived its synthesis
     # would leave the forked workers waiting on a thread they do not have,
     # so the check runs in a child process with a deadline.
     code = (
@@ -272,8 +274,9 @@ def test_sweep_forks_after_a_threaded_synthesis():
         "params = base.finalize().fbm_params()\n"
         "assert params.n_samples > fbm._THREADED * fbm._BLOCK\n"
         "fbm.generate_trace(params, 1e7)\n"
-        "pooled = sweep(base, packets=[13], seeds=(0, 1), max_workers=2)\n"
-        "print(pooled == sweep(base, packets=[13], seeds=(0, 1), max_workers=1))\n"
+        "pooled = sweep(base, packets=[13], seeds=(0, 1))\n"
+        "fbm.CPUS = 1\n"
+        "print(pooled == sweep(base, packets=[13], seeds=(0, 1)))\n"
     )
     src = str(Path(experiment.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -282,16 +285,21 @@ def test_sweep_forks_after_a_threaded_synthesis():
     assert out.stdout.strip() == "True"
 
 
-def _seed_echo(args):
-    base, payload, seed = args
-    return seed, (payload, seed)
+def test_pool_size_follows_seeds_cpus_and_memory(monkeypatch):
+    gib = 2**30
+    monkeypatch.setattr(fbm, "CPUS", 3)
+    monkeypatch.setattr(experiment, "PHYSICAL_MEMORY", 10 * gib)
+    assert experiment._pool_size(5, gib) == 3  # one per CPU
+    assert experiment._pool_size(2, gib) == 2  # one per seed
+    assert experiment._pool_size(5, 4 * gib) == 2  # as many as fit in memory
+    assert experiment._pool_size(5, 10 * gib) == 1
 
 
-def test_worker_pool_capped_by_seeds_and_cpus(monkeypatch):
+def test_ensemble_runs_on_the_pool_size(monkeypatch):
     created = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+        """Stands in for ProcessPoolExecutor: records its size, maps serially."""
 
         def __init__(self, max_workers):
             created.append(max_workers)
@@ -307,14 +315,19 @@ def test_worker_pool_capped_by_seeds_and_cpus(monkeypatch):
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(fbm, "CPUS", 3)
+    base = small_config(sequences=5)
+    cfg = replace(base, packets=13).finalize()
+    params = cfg.fbm_params()
+    need = peak_bytes([(params.n_samples, params.hurst)]) + experiment.PROBE_BYTES * 5 * 13
+    sweep(base, packets=[13], seeds=[3])  # one seed: serial
     seeds = [4, 2, 7, 1, 0]
-    out = experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=64)
-    assert list(out) == seeds and out[7] == ("p", 7)
-    experiment._map_seeds(_seed_echo, None, "p", [5, 6], max_workers=64)
-    experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=2)
-    experiment._map_seeds(_seed_echo, None, "p", seeds, max_workers=1)  # serial
-    experiment._map_seeds(_seed_echo, None, "p", [3], max_workers=8)  # serial
-    assert created == [3, 2, 2]
+    rows = []
+    for fit in (5, 2, 1):  # workers that fit in memory
+        monkeypatch.setattr(experiment, "PHYSICAL_MEMORY", fit * need)
+        rows.append(sweep(base, packets=[13], seeds=seeds))
+    assert created == [3, 2]
+    assert rows[0] == rows[1] == rows[2]
+    assert [r["seed"] for r in rows[0]] == [*seeds, "mean", "median"]
 
 
 def test_compare_bart_shares_traffic():

@@ -880,12 +880,12 @@ def refuse_pool(*args, **kwargs):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets the CPU affinity")
 def test_thread_count_follows_the_cpus_the_process_may_run_on():
     # one CPU: the module runs every pass on the calling thread, and an
-    # ensemble of two workers on four seeds runs in this process
+    # ensemble of four seeds, each worker needing one byte, runs in this process
     src = str(Path(fbm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " \
         "from abprobe import experiment, fbm; " \
-        "print(fbm._THREADS, experiment._pool_size(2, 4))"
+        "print(fbm._THREADS, experiment._pool_size(4, 1))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split() == ["1", "1"]
