@@ -4,18 +4,19 @@ Subcommands: run, sweep, compare-bart, model-eval.  Config precedence is
 defaults < JSON config file (flat keys, each a flag name such as "lambda" or a
 RunConfig field name such as "lam"; run options stay on the command line)
 < flags.  Each subcommand takes only the flags it honours.  The list-valued
-flags (comma lists; integer ones also take ranges a:b and a:b:step) are
-  sweep         --capacity --packets --portions --packet-size
-  compare-bart  --portions --initial-ab
-  model-eval    --packets --portions
+flags (comma lists; integer ones also take ranges a:b and a:b:step) are the
+fields of experiment's axis tuples, slowest-varying first:
+  sweep         --capacity --packet-size --packets --portions   (SWEEP_AXES)
+  compare-bart  --initial-ab --portions                          (COMPARE_AXES)
+  model-eval    --portions --packets                             (MODEL_AXES)
   run           none
 and --seeds belongs to sweep and compare-bart (one worker per seed, capped by
-the CPUs taskset allows and by physical memory).  An axis not given
-on the command line takes the scenario's value; model-eval --xi-target
-computes M from C and P alone, so it takes no other scenario flag.  Config
-keys name the flags' fields plus psi0; every other model value is a constant.
-Every subcommand is a pure function of (config, seed) to bytes on disk; exit
-code 0 on success, 2 on configuration errors.
+the CPUs taskset allows and by physical memory).  An axis not given on the
+command line takes the scenario's value, and a grid point listed twice exits
+2; model-eval --xi-target computes M from C and P alone, so it takes no other
+scenario flag.  Config keys name the flags' fields plus psi0; every other
+model value is a constant.  Every subcommand is a pure function of (config,
+seed) to bytes on disk; exit code 0 on success, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -28,7 +29,10 @@ from dataclasses import dataclass, fields
 
 from .analysis import lookup_coeffs, required_m
 from .experiment import (
+    COMPARE_AXES,
     COMPARE_HEADER,
+    MODEL_AXES,
+    SWEEP_AXES,
     SWEEP_HEADER,
     RunConfig,
     compare_bart,
@@ -190,42 +194,34 @@ def _ensemble_seeds(args, base: RunConfig) -> list[int]:
     return args.seeds or [base.seed]
 
 
+def _axes(args, names) -> dict:
+    """The list-valued flags given on the command line, as {field: values}."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_sweep(args) -> int:
     base = _scenario(args)
-    rows = sweep(
-        base,
-        packets=getattr(args, "packets", None),
-        portions=getattr(args, "portions", None),
-        packet_sizes=getattr(args, "packet_size", None),
-        capacities=getattr(args, "capacity", None),
-        seeds=_ensemble_seeds(args, base),
-        paired=args.paired,
-    )
+    seeds = _ensemble_seeds(args, base)
+    rows = sweep(base, seeds=seeds, paired=args.paired, **_axes(args, SWEEP_AXES))
     _write_rows(args.out, SWEEP_HEADER, rows)
     return 0
 
 
 def _cmd_compare(args) -> int:
     base = _scenario(args)
-    rows = compare_bart(
-        base,
-        portions=getattr(args, "portions", None),
-        initial_abs=getattr(args, "initial_ab", None),
-        seeds=_ensemble_seeds(args, base),
-    )
+    rows = compare_bart(base, seeds=_ensemble_seeds(args, base), **_axes(args, COMPARE_AXES))
     _write_rows(args.out, COMPARE_HEADER, rows)
     return 0
 
 
 def _cmd_model_eval(args) -> int:
     base = _scenario(args)
-    packets = getattr(args, "packets", [base.packets])
-    portions = getattr(args, "portions", [base.portions])
     if args.xi_target is not None:
         extra = [f for f, (dest, _, _) in SCENARIO_FLAGS.items()
                  if hasattr(args, dest) and dest not in ("capacity", "portions")]
         if extra:
             raise ValueError(f"--xi-target reads only C and P; drop {', '.join(extra)}")
+        portions = getattr(args, "portions", [base.portions])
         if len(portions) != 1:
             raise ValueError(f"--xi-target takes a single --portions value, got {portions}")
         p = portions[0]
@@ -240,7 +236,7 @@ def _cmd_model_eval(args) -> int:
             _write_rows(args.out, TARGET_HEADER, [row])
         return 0
 
-    rows = model_grid_rows(base, packets=packets, portions=portions)
+    rows = model_grid_rows(base, **_axes(args, MODEL_AXES))
     _write_rows(args.out, MODEL_HEADER, rows)
     return 0
 
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = subs.add_parser("sweep", help="grid sweep over M/P/S/C and seeds")
-    _add_flags(p_sweep, ("capacity", "packets", "portions", "packet_size"), ensemble=True)
+    _add_flags(p_sweep, SWEEP_AXES, ensemble=True)
     p_sweep.add_argument(
         "--paired",
         action="store_true",
@@ -269,11 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = subs.add_parser(
         "compare-bart", help="single-rate vs multi-rate estimation on identical traffic"
     )
-    _add_flags(p_cmp, ("portions", "initial_ab"), ensemble=True)
+    _add_flags(p_cmp, COMPARE_AXES, ensemble=True)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_model = subs.add_parser("model-eval", help="evaluate the analytic/fitted error models")
-    _add_flags(p_model, ("packets", "portions"))
+    _add_flags(p_model, MODEL_AXES)
     p_model.add_argument("--xi-target", type=float, default=None, help="target error; prints the recommended M")
     p_model.set_defaults(func=_cmd_model_eval)
 

@@ -46,6 +46,7 @@ __all__ = [
     "sweep",
     "compare_bart",
     "model_grid_rows",
+    "SWEEP_AXES", "COMPARE_AXES", "MODEL_AXES",
     "SWEEP_HEADER",
     "COMPARE_HEADER",
     "ESTIMATE_HEADER",
@@ -68,14 +69,23 @@ PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 PROBE_BYTES = 56
 
 
-def _check_memory(peak: int, what: str) -> None:
-    """ValueError if the estimated peak bytes of `what` exceed physical memory."""
-    if peak > PHYSICAL_MEMORY:
+def _check_memory(cfgs, who: str) -> int:
+    """Peak bytes of running the finalized cfgs one after another in one
+    process: the synthesis of their traces plus the largest run's probe
+    arrays.  ValueError naming `who` if that exceeds physical memory."""
+    traces = {(c.fbm_params().n_samples, c.hurst) for c in cfgs}
+    probes = max(c.sequences * c.packets for c in cfgs)
+    need = peak_bytes(traces) + PROBE_BYTES * probes
+    if need > PHYSICAL_MEMORY:
+        samples = max(n for n, _ in traces)
         raise ValueError(
-            f"{what} needs about {peak / 2**30:.3g} GiB, more than the "
+            f"{who} of {len(traces)} traffic {'trace' if len(traces) == 1 else 'traces'} "
+            f"of up to {samples:.3g} samples and up to {probes:.3g} probes (sequences x "
+            f"packets) per run needs about {need / 2**30:.3g} GiB, more than the "
             f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory; raise "
             "packet_size or dt, or lower sequences, packets or capacity"
         )
+    return need
 
 
 # what a value of each RunConfig annotation must be; float fields take any real
@@ -290,11 +300,7 @@ def run(
     cfg = config.finalize()
     params = cfg.fbm_params()
     if path is None:
-        n = params.n_samples
-        peak = peak_bytes([(n, params.hurst)]) + PROBE_BYTES * cfg.sequences * cfg.packets
-        what = (f"a run of {cfg.sequences:.3g} sequences of {cfg.packets:.3g} packets "
-                f"on a {n:.3g}-sample trace")
-        _check_memory(peak, what)
+        _check_memory([cfg], "a run")
         path = PathModel(cfg.capacity, params)
     elif (path.params, path.capacity) != (params, cfg.capacity):
         raise ValueError(
@@ -379,21 +385,12 @@ def _pool_size(n_seeds: int, need: int) -> int:
     return min(n_seeds, fbm.CPUS, PHYSICAL_MEMORY // need)
 
 
-def _map_seeds(task, base, payload, seeds, workers) -> dict:
-    """task((base, payload, seed)) -> (seed, result) for every seed, keyed by
-    seed; in a process pool of `workers` workers when that is above one."""
-    tasks = [(base, payload, seed) for seed in seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(workers) as pool:
-            return dict(pool.map(task, tasks))
-    return dict(map(task, tasks))
-
-
 def _ensemble_rows(base, variants, seeds, columns, xi_key) -> list[dict]:
     """One row per (variant, seed) with that run's error under xi_key, then
     the seed mean and median; columns(cfg) gives a finalized variant's other
     columns.  Every seed (>= 0, each listed once) and every variant is
-    validated before any trace is synthesized."""
+    validated before any trace is synthesized; the seeds run in a process
+    pool when _pool_size gives more than one worker."""
     seeds = list(seeds)
     if not seeds:
         raise ValueError("an ensemble needs at least one seed")
@@ -403,14 +400,14 @@ def _ensemble_rows(base, variants, seeds, columns, xi_key) -> list[dict]:
     if repeated:
         raise ValueError(f"seeds must be distinct; {repeated} listed more than once")
     cfgs = [replace(base, **v).finalize() for v in variants]
-    # each worker process synthesizes its seeds' traces one after another
-    traces = {(c.fbm_params().n_samples, c.hurst) for c in cfgs}
-    probes = max(c.sequences * c.packets for c in cfgs)
-    need = peak_bytes(traces) + PROBE_BYTES * probes
-    what = (f"one worker of the ensemble of {len(traces)} traffic traces, "
-            f"with up to {probes:.3g} probes (sequences x packets) per run")
-    _check_memory(need, what)
-    by_seed = _map_seeds(_seed_task, base, variants, seeds, _pool_size(len(seeds), need))
+    # each worker process runs its seeds' variants one after another
+    workers = _pool_size(len(seeds), _check_memory(cfgs, "one worker of the ensemble"))
+    tasks = [(base, variants, seed) for seed in seeds]
+    if workers > 1:
+        with ProcessPoolExecutor(workers) as pool:
+            by_seed = dict(pool.map(_seed_task, tasks))
+    else:
+        by_seed = dict(map(_seed_task, tasks))
     rows = []
     for idx, cfg in enumerate(cfgs):
         common = columns(cfg)
@@ -442,27 +439,41 @@ def _write_rows(path, header, rows) -> None:
             writer.writerow([_fmt(row[k]) for k in header])
 
 
-# -- grid sweeps ----------------------------------------------------------
+# -- grids ---------------------------------------------------------------
+#
+# Each command's axes are RunConfig fields, slowest-varying first.
+
+SWEEP_AXES = ("capacity", "packet_size", "packets", "portions")
+COMPARE_AXES = ("initial_ab", "portions")
+MODEL_AXES = ("portions", "packets")
 
 
-def _grid_points(base: RunConfig, packets, portions, packet_sizes, capacities, paired):
-    axes = {
-        "capacity": [base.capacity] if capacities is None else list(capacities),
-        "packet_size": [base.packet_size] if packet_sizes is None else list(packet_sizes),
-        "packets": [base.packets] if packets is None else list(packets),
-        "portions": [base.portions] if portions is None else list(portions),
-    }
+def _grid_points(base: RunConfig, names, axes: dict, paired: bool = False) -> list[dict]:
+    """RunConfig overrides over the named axes: the cross product of the
+    value lists in axes (an axis not given takes base's value), or with
+    paired their i-th values together.  TypeError for an axis outside names,
+    ValueError for a point listed twice, since its seed mean and median
+    would count each seed twice."""
+    unknown = sorted(set(axes) - set(names))
+    if unknown:
+        raise TypeError(f"unexpected axes {unknown}; the axes here are {list(names)}")
+    values = [list(axes[n]) if n in axes else [getattr(base, n)] for n in names]
     if not paired:
-        return [dict(zip(axes, point)) for point in itertools.product(*axes.values())]
-    lengths = {name: len(ax) for name, ax in axes.items()}
-    width = max(lengths.values())
-    if any(n not in (1, width) for n in lengths.values()):
-        raise ValueError(
-            "paired sweep needs axes of equal length (or singletons); "
-            f"got lengths {lengths}"
-        )
-    expanded = [ax * width if len(ax) == 1 else ax for ax in axes.values()]
-    return [dict(zip(axes, point)) for point in zip(*expanded)]
+        points = list(itertools.product(*values))
+    else:
+        lengths = dict(zip(names, map(len, values)))
+        width = max(lengths.values())
+        if any(n not in (1, width) for n in lengths.values()):
+            raise ValueError(
+                "paired sweep needs axes of equal length (or singletons); "
+                f"got lengths {lengths}"
+            )
+        points = list(zip(*(v * width if len(v) == 1 else v for v in values)))
+    repeated = [p for p, n in Counter(points).items() if n > 1]
+    if repeated:
+        given = {n: v for n, v in zip(names, repeated[0]) if n in axes}
+        raise ValueError(f"grid point {given} is listed more than once; list each point once")
+    return [dict(zip(names, p)) for p in points]
 
 
 def _sweep_columns(cfg: RunConfig) -> dict:
@@ -472,18 +483,11 @@ def _sweep_columns(cfg: RunConfig) -> dict:
     }
 
 
-def sweep(
-    base: RunConfig,
-    packets=None,
-    portions=None,
-    packet_sizes=None,
-    capacities=None,
-    seeds=(0,),
-    paired: bool = False,
-) -> list[dict]:
-    """Run the grid x seeds cross product; one row per (point, seed) plus
-    seed-aggregated rows, with analytic and fitted-model overlays per point."""
-    points = _grid_points(base, packets, portions, packet_sizes, capacities, paired)
+def sweep(base: RunConfig, seeds=(0,), paired: bool = False, **axes) -> list[dict]:
+    """Run the grid over SWEEP_AXES (each a keyword with its value list) x
+    seeds; one row per (point, seed) plus seed-aggregated rows, with
+    analytic and fitted-model overlays per point."""
+    points = _grid_points(base, SWEEP_AXES, axes, paired)
     return _ensemble_rows(base, points, seeds, _sweep_columns, "xi_sim")
 
 
@@ -498,30 +502,24 @@ def _compare_columns(cfg: RunConfig) -> dict:
     }
 
 
-def compare_bart(
-    base: RunConfig,
-    portions=None,
-    initial_abs=None,
-    seeds=(0,),
-) -> list[dict]:
-    """Single-rate (P=1) versus multi-rate estimation on identical traffic.
+def compare_bart(base: RunConfig, seeds=(0,), **axes) -> list[dict]:
+    """Single-rate (P=1) versus multi-rate estimation on identical traffic,
+    over COMPARE_AXES.
 
     Every (method, initial_ab) variant replays the same trace per seed, so
-    differences are purely estimator-side.  The multi-rate portions and the
-    filter's initial_abs guesses default to the base scenario's values.
+    differences are purely estimator-side.  P = 1 runs first for each
+    initial guess; the multi-rate portions and the filter's initial_ab
+    guesses default to the base scenario's values.
     """
-    p_values = [1] + [p for p in (portions or [base.portions]) if p != 1]
-    ab_values = list(initial_abs) if initial_abs is not None else [base.initial_ab]
-    variants = [{"portions": p, "initial_ab": ab} for ab in ab_values for p in p_values]
-    return _ensemble_rows(base, variants, seeds, _compare_columns, "xi")
+    portions = list(axes.get("portions", [base.portions]))
+    if 1 in portions:
+        portions.remove(1)
+    points = _grid_points(base, COMPARE_AXES, {**axes, "portions": [1, *portions]})
+    return _ensemble_rows(base, points, seeds, _compare_columns, "xi")
 
 
-def model_grid_rows(base: RunConfig, packets, portions) -> list[dict]:
-    """Analytic and fitted-model error over an (M, P) grid at the base scenario."""
-    cfg_probe = replace(base, packets=max(packets), portions=min(portions)).finalize()
-    return [
-        {"M": m, "P": p, "C": cfg_probe.capacity,
-         **_model_xi(replace(cfg_probe, packets=m, portions=p))}
-        for p in portions
-        for m in packets
-    ]
+def model_grid_rows(base: RunConfig, **axes) -> list[dict]:
+    """Analytic and fitted-model error (a sweep's columns, without its
+    simulation) over the MODEL_AXES grid at the base scenario."""
+    points = _grid_points(base, MODEL_AXES, axes)
+    return [_sweep_columns(replace(base, **p).finalize()) for p in points]

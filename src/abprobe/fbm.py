@@ -66,17 +66,15 @@ __all__ = [
 def _next_fast_len(target: int) -> int:
     """Smallest even 5-smooth integer >= target (the embedding needs an even
     size; 5-smooth keeps the FFT O(m log m))."""
-    best = 2
-    while best < target:
-        best *= 2
+    def doubled(base: int) -> int:  # smallest base * 2**k >= target
+        return base << (max(-(-target // base), 1) - 1).bit_length()
+
+    best = doubled(2)
     p3 = 1
     while p3 < best:
         p5 = p3
         while p5 < best:
-            m = 2 * p5
-            while m < target:
-                m *= 2
-            best = min(best, m)
+            best = min(best, doubled(2 * p5))
             p5 *= 5
         p3 *= 3
     return best
@@ -484,6 +482,9 @@ class FbmParams:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.horizon < self.dt:
             raise ValueError(f"horizon must be >= dt, got {self.horizon} < {self.dt}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"dt={self.dt} is too small to count the samples of a "
+                             f"{self.horizon}s horizon; raise dt")
 
     @property
     def n_samples(self) -> int:

@@ -147,7 +147,7 @@ def test_criterion_5_table_trend():
     rows = sweep(
         base,
         packets=[13, 22, 34],
-        packet_sizes=[500.0, 900.0, 1500.0],
+        packet_size=[500.0, 900.0, 1500.0],
         seeds=range(10),
         paired=True,
     )
@@ -250,7 +250,7 @@ def test_criterion_8_single_vs_multi_rate():
     rows = compare_bart(
         base,
         portions=(2,),
-        initial_abs=[2.5e6, 5e6, 8.5e6],
+        initial_ab=[2.5e6, 5e6, 8.5e6],
         seeds=range(20),
     )
     xi = {}

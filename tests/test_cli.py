@@ -179,7 +179,29 @@ def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
         main(argv)
     monkeypatch.setattr(abprobe.experiment, "PHYSICAL_MEMORY", (one + probes) // 2)
     assert main(argv) == 2
-    assert "one worker of the ensemble of 1 traffic traces" in capsys.readouterr().err
+    assert "one worker of the ensemble of 1 traffic trace of up to" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, point", [
+    (["sweep", "--seeds", "0:2", "--capacity", "1e7,1e7"], "'capacity': 10000000.0"),
+    (["sweep", "--paired", "--packets", "13,13", "--packet-size", "500,500"], "'packets': 13"),
+    (["compare-bart", "--seeds", "0", "--portions", "2,2"], "'portions': 2"),
+    (["model-eval", "--packets", "16,34,16", "--portions", "1,2"], "'packets': 16"),
+], ids=["sweep", "paired-sweep", "compare-bart", "model-eval"])
+def test_a_repeated_grid_point_exits_2_before_synthesis(tmp_path, capsys, monkeypatch, argv, point):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    assert main([*argv, "--sequences", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "listed more than once" in err and point in err
+    assert not out.exists()
+
+
+def test_dt_too_small_to_count_the_samples_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["run", "--sequences", "5", "--dt", "5e-324", "--out", str(out)]) == 2
+    assert "raise dt" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -403,9 +425,10 @@ def test_empty_range_in_a_list_exits_2(tmp_path, capsys, monkeypatch, argv, part
 
 @pytest.mark.parametrize("argv", [
     ["run", "--sequences", "5", "--dt", "1e-30"],  # a 31-digit sample count
+    ["run", "--sequences", "5", "--dt", "1e-300"],  # a 301-digit one
     ["sweep", "--seeds", "0,1", "--sequences", "100000", "--packets", "200000000",
      "--packet-size", "1e-3", "--dt", "0.5"],  # 2e13 probes
-], ids=["run-samples", "sweep-probes"])
+], ids=["run-samples", "run-samples-1e300", "sweep-probes"])
 def test_memory_guard_message_is_readable(capsys, monkeypatch, argv):
     monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
     assert main(argv) == 2

@@ -238,7 +238,7 @@ def test_sweep_reuses_a_path_only_at_its_capacity():
     # sigma, mu and dt pinned: both capacities share each seed's traffic
     # parameters, and each needs a path of its own
     base = small_config(sequences=5, sigma=1e5, mu=2e6, dt=3e-4)
-    rows = sweep(base, capacities=[5e6, 1e7], seeds=[0, 1])
+    rows = sweep(base, capacity=[5e6, 1e7], seeds=[0, 1])
     got = {(r["C"], r["seed"]): r["xi_sim"] for r in rows if isinstance(r["seed"], int)}
     want = {(c, s): run(replace(base, capacity=c, seed=s)).xi for c in (5e6, 1e7) for s in (0, 1)}
     assert got == want
@@ -246,7 +246,7 @@ def test_sweep_reuses_a_path_only_at_its_capacity():
 
 def test_sweep_paired_rejects_ragged_axes():
     with pytest.raises(ValueError, match="paired"):
-        sweep(small_config(), packets=[13, 22, 34], packet_sizes=[500.0, 900.0], paired=True)
+        sweep(small_config(), packets=[13, 22, 34], packet_size=[500.0, 900.0], paired=True)
 
 
 def test_sweep_worker_pool_matches_serial(monkeypatch):
@@ -371,6 +371,62 @@ def test_ensembles_reject_negative_and_repeated_seeds_before_synthesis(monkeypat
         sweep(small_config(), packets=[13], seeds=seeds)
     with pytest.raises(ValueError, match=message):
         compare_bart(small_config(), seeds=seeds)
+
+
+def test_sweep_rows_vary_capacity_slowest_and_portions_fastest():
+    base = small_config(sequences=5, sigma=1e5, mu=2e6, dt=3e-4)
+    rows = sweep(base, capacity=[5e6, 1e7], packet_size=[900.0, 1500.0],
+                 packets=[13, 17], portions=[2, 3])
+    got = [(r["C"], r["S"], r["M"], r["P"]) for r in rows if r["seed"] == 0]
+    assert got == [(c, s, m, p) for c in (5e6, 1e7) for s in (900.0, 1500.0)
+                   for m in (13, 17) for p in (2, 3)]
+
+
+def test_compare_bart_rows_vary_initial_ab_slowest_with_bart_first():
+    rows = compare_bart(small_config(sequences=5, packets=17), initial_ab=[2.5e6, 5e6],
+                        portions=[3, 1, 2])
+    got = [(r["initial_ab"], r["p"]) for r in rows if r["seed"] == 0]
+    assert got == [(ab, p) for ab in (2.5e6, 5e6) for p in (1, 3, 2)]
+
+
+def test_model_grid_rows_vary_portions_slowest():
+    rows = model_grid_rows(small_config(), packets=[16, 34], portions=[3, 1])
+    assert [(r["P"], r["M"]) for r in rows] == [(3, 16), (3, 34), (1, 16), (1, 34)]
+
+
+def test_an_axis_outside_the_command_is_a_type_error():
+    with pytest.raises(TypeError, match="hurst"):
+        sweep(small_config(), hurst=[0.6, 0.7])
+    with pytest.raises(TypeError, match="packets"):
+        compare_bart(small_config(), packets=[13, 17])
+    with pytest.raises(TypeError, match="capacity"):
+        model_grid_rows(small_config(), capacity=[1e7])
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_sweep_rejects_a_repeated_point_before_synthesis(monkeypatch, paired):
+    # a point run twice would weigh each seed twice in its mean and median rows
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    with pytest.raises(ValueError, match="listed more than once"):
+        sweep(small_config(), capacity=[1e7, 1e7], seeds=[0, 1], paired=paired)
+    with pytest.raises(ValueError, match="'packets': 13, 'portions': 2"):
+        sweep(small_config(), packets=[13, 17, 13], portions=[2, 3, 2], paired=paired)
+
+
+def test_paired_sweep_may_repeat_a_value_of_distinct_points():
+    rows = sweep(small_config(sequences=5), packets=[13, 13], packet_size=[500.0, 900.0],
+                 paired=True)
+    assert [(r["M"], r["S"]) for r in rows if r["seed"] == 0] == [(13, 500.0), (13, 900.0)]
+
+
+def test_compare_bart_rejects_a_repeated_point_before_synthesis(monkeypatch):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    with pytest.raises(ValueError, match="'portions': 2"):
+        compare_bart(small_config(), portions=[2, 2])
+    with pytest.raises(ValueError, match="'portions': 1"):
+        compare_bart(small_config(), portions=[1, 3, 1])
+    with pytest.raises(ValueError, match="'initial_ab': 5000000.0"):
+        compare_bart(small_config(), initial_ab=[5e6, 5e6])
 
 
 def test_model_grid_rows_monotone_analytic():

@@ -94,6 +94,44 @@ def test_rejects_horizon_below_dt():
             make_params(horizon=horizon)
 
 
+def test_rejects_dt_too_small_to_count_the_samples():
+    # horizon / dt overflows to inf: n_samples could not be formed
+    with pytest.raises(ValueError, match="raise dt"):
+        make_params(dt=5e-324, horizon=6.0)
+    assert make_params(dt=1e-300, horizon=6.0).n_samples > 10**300
+
+
+def smooth_even_reference(target: int) -> int:
+    """Smallest even integer >= target (and >= 2) with no prime factor above 5."""
+    m = max(target, 2)
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if m % 2 == 0 and k == 1:
+            return m
+        m += 1
+
+
+def test_next_fast_len_matches_brute_force():
+    rng = np.random.default_rng(3)
+    targets = [*range(-2, 3001), *rng.integers(3001, 10**7, 300).tolist(),
+               2 * (3340001 - 1), 2 * (10000001 - 1)]
+    for target in targets:
+        assert _next_fast_len(target) == smooth_even_reference(target), target
+
+
+def test_next_fast_len_of_an_absurd_target_is_even_and_5_smooth():
+    target = int(1.2e301)
+    m = _next_fast_len(target)
+    assert target <= m < 2 * target and m % 2 == 0
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    assert m == 1
+
+
 def test_sample_count():
     assert make_params(dt=0.5, horizon=4.0).n_samples == 9
     assert generate_trace(make_params(dt=0.5, horizon=4.0), math.inf).n == 9
