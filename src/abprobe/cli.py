@@ -168,11 +168,6 @@ def _scenario(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    if args.out and args.event_log and os.path.realpath(args.out) == os.path.realpath(args.event_log):
-        raise ValueError(
-            f"--out and --event-log name the same file {args.out}; the estimate CSV "
-            "would overwrite the event log, so give each its own path"
-        )
     report = run(_scenario(args), event_log=args.event_log)
     report.to_csv(args.out)
     print(
@@ -277,13 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """ValueError naming the first output that is not a writable file in an existing directory."""
-    for flag, path in (("--out", args.out), ("--event-log", getattr(args, "event_log", None))):
+    """ValueError naming the first output that is not a writable file in an
+    existing directory, or the one file that both outputs name."""
+    out, log = args.out, getattr(args, "event_log", None)
+    for flag, path in (("--out", out), ("--event-log", log)):
         if not path:
             continue
         target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise ValueError(f"{flag} {path} is not a writable file in an existing directory")
+    if out and log and os.path.realpath(out) == os.path.realpath(log):
+        raise ValueError(
+            f"--out and --event-log name the same file {out}; the estimate CSV "
+            "would overwrite the event log, so give each its own path"
+        )
 
 
 def main(argv=None) -> int:

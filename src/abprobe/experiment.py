@@ -20,7 +20,7 @@ import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -174,7 +174,7 @@ class RunConfig:
             initial_ab=initial_ab,
         )
         cfg.sequence_config()  # validates M/P/rates/packet size
-        cfg.filter_config()  # validates lam/psi0
+        cfg.filter_config()  # validates lam/psi0/initial_ab
         worst_span = (cfg.packets - 1) * packet_bits / rate_min
         if worst_span > SEQUENCE_GAP:
             raise ValueError(
@@ -246,7 +246,8 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
-    """Per-sequence estimation record of one run."""
+    """Per-sequence estimation record of one run; bound_reports is the
+    envelope audit's record array when run collects bounds, else None."""
 
     config: RunConfig
     t_start: np.ndarray
@@ -262,7 +263,7 @@ class ExperimentReport:
     degenerate: np.ndarray
     clamp_fraction: float
     cap_fraction: float
-    bound_reports: list = field(default_factory=list)
+    bound_reports: np.recarray | None = None
 
     @property
     def n(self) -> int:
@@ -332,7 +333,7 @@ def run(
     names = ("ab_hat", "raw_ab", "alpha_hat", "beta_hat", "psi00", "psi01", "psi11",
              "portions_used", "degenerate")
     cols = dict(zip(names, map(np.array, zip(*rows))))
-    bounds = strain_bounds_check(result, path, sched) if collect_bounds else []
+    bounds = strain_bounds_check(result, path, sched) if collect_bounds else None
 
     return ExperimentReport(
         config=cfg,

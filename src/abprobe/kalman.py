@@ -46,7 +46,7 @@ class FilterConfig:
 
     c_ref       rate normalization (bits/s): the bottleneck capacity
     psi0        initial error covariance scale (Psi_0 = psi0 * I, normalized)
-    initial_ab  initial AB guess (bits/s) mapped to the state via
+    initial_ab  initial AB guess (bits/s, >= 0) mapped to the state via
                 alpha0 = 1/c_ref, beta0 = -initial_ab/c_ref
     ab_cap      clamp for the AB readout (bits/s)
     lam         process-noise level, per-step variance added to each
@@ -65,10 +65,12 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.c_ref <= 0:
             raise ValueError(f"c_ref must be > 0, got {self.c_ref}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.psi0 < 0:
+        if not self.psi0 >= 0:
             raise ValueError(f"psi0 must be >= 0, got {self.psi0}")
+        if not self.initial_ab >= 0:
+            raise ValueError(f"initial_ab must be >= 0, got {self.initial_ab}")
         if not self.gate_threshold >= 0:
             raise ValueError(f"gate_threshold must be >= 0, got {self.gate_threshold}")
 

@@ -26,7 +26,6 @@ __all__ = [
     "PathModel",
     "HopWorkload",
     "TransitResult",
-    "PortionBounds",
     "fluid_strain_oracle",
     "transit_sequence",
     "strain_bounds_check",
@@ -206,31 +205,17 @@ def transit_sequence(
     return result, new_state
 
 
-@dataclass(frozen=True)
-class PortionBounds:
-    """Queueing-theory envelope audit for one portion (simulator invariant)."""
-
-    portion: int
-    rate: float
-    g_in: float
-    g_out: float
-    strain: float
-    y_true: float
-    lower: float
-    upper: float
-    equality_case: bool
-    passed: bool
-
-
 def strain_bounds_check(
     result: TransitResult, path: PathModel, schedule: ProbeSchedule
-) -> list[PortionBounds]:
+) -> np.recarray:
     """Check every portion's mean strain against the fluid queueing envelope.
 
     Congested portions (mean input gap <= S/C) must sit exactly at
     y/C + S/(g_in*C) - 1; the rest must lie in [y/C - 1, y/C + S/(g_in*C)].
-    One report per portion, sequence by sequence.  Pure audit: estimation
-    never sees these numbers.
+    One record per portion, sequence by sequence, with the fields portion,
+    rate, g_in and g_out (mean input and output gaps), strain, y_true (mean
+    cross rate), lower and upper (the envelope), equality_case (congested)
+    and passed.  Pure audit: estimation never sees these numbers.
     """
     c = path.capacity
     s_bits = schedule.config.packet_bits
@@ -252,4 +237,7 @@ def strain_bounds_check(
     portion = np.broadcast_to(np.arange(len(sizes)), strain.shape)
     rate = np.broadcast_to(schedule.portion_rates, strain.shape)
     columns = (portion, rate, g_in, g_out, strain, y, lower, upper, equality, passed)
-    return [PortionBounds(*row) for row in zip(*(col.ravel().tolist() for col in columns))]
+    return np.rec.fromarrays(
+        [col.ravel() for col in columns],
+        names="portion, rate, g_in, g_out, strain, y_true, lower, upper, equality_case, passed",
+    )

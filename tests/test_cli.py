@@ -280,6 +280,8 @@ def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
         (["--lambda", "-1"], {}, "lam must be >= 0"),
         ([], {"psi0": -1}, "psi0 must be >= 0"),
         ([], {"gate_threshold": -0.1}, "gate_threshold must be >= 0"),
+        (["--initial-ab", "-1"], {}, "initial_ab must be >= 0"),
+        ([], {"initial_ab": -1e6}, "initial_ab must be >= 0"),
     ],
 )
 def test_bad_filter_values_exit_2_before_synthesis(
@@ -291,6 +293,20 @@ def test_bad_filter_values_exit_2_before_synthesis(
     out = tmp_path / "x.csv"
     assert main(["run", "--config", str(cfg), *flags, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare-bart"])
+def test_negative_initial_ab_in_an_ensemble_config_exits_2_before_synthesis(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial_ab": -1e6}))
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", str(cfg), "--sequences", "5", "--seeds", "0,1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "initial_ab must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 

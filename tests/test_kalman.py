@@ -276,6 +276,17 @@ def test_negative_gate_threshold_is_refused():
         cfg(gate_threshold=-0.1)
 
 
+@pytest.mark.parametrize("name", ["initial_ab", "lam", "psi0"])
+@pytest.mark.parametrize("value", [-1.0, -1e6, float("nan")])
+def test_negative_or_nan_filter_value_is_refused(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        cfg(**{name: value})
+
+
+def test_zero_initial_ab_is_accepted():
+    assert cfg(initial_ab=0.0).initial_ab == 0.0
+
+
 def test_p1_step_matches_bart_configuration():
     # a P=1 measurement is one scalar update: identical through either path
     config = cfg(lam=1e-3)

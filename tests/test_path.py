@@ -216,6 +216,53 @@ def test_bounds_hold_on_random_fbm_scenario():
     assert checked == 150
 
 
+def test_bounds_records_sequence_major_with_hand_checked_columns():
+    # 4 sequences of 3 portions; each sequence has its own rates, and portion
+    # 2 probes above C, so it is congested
+    path = make_path(fbm_traffic(seed=8, horizon=5.0))
+    cfg = SequenceConfig(m=22, p=3, packet_size=1500.0, rate_min=2e6, rate_max=1.5e7)
+    rates = np.array([[2e6, 5e6, 1.25e7]]) + 1e5 * np.arange(4)[:, None]
+    sched = build_schedule(cfg, rates, 0.05 + np.arange(4.0))
+    result, _ = transit_sequence(path, sched, HopWorkload())
+    bounds = strain_bounds_check(result, path, sched)
+    assert bounds.dtype.names == (
+        "portion", "rate", "g_in", "g_out", "strain", "y_true",
+        "lower", "upper", "equality_case", "passed",
+    )
+    assert bounds.portion.tolist() == [0, 1, 2] * 4
+    assert bounds.rate.tolist() == rates.ravel().tolist()
+    assert bounds.equality_case.tolist() == [False, False, True] * 4
+
+    edges = cfg.portion_edges
+    for k, p in [(2, 1), (3, 2)]:
+        rec = bounds[3 * k + p]
+        e0, e1 = edges[p], edges[p + 1]
+        send, dep = sched.send_times[k], result.departures[k]
+        g_in = (send[e1] - send[e0]) / (e1 - e0)
+        g_out = (dep[e1] - dep[e0]) / (e1 - e0)
+        cross = path.cumulative_cross_bits(send[e1]) - path.cumulative_cross_bits(send[e0])
+        y = cross / (send[e1] - send[e0])
+        assert rec.g_in == pytest.approx(g_in, rel=1e-12)
+        assert rec.g_in == pytest.approx(S_BITS / rates[k, p], rel=1e-12)
+        assert rec.g_out == pytest.approx(g_out, rel=1e-12)
+        assert rec.strain == pytest.approx(g_out / g_in - 1.0, abs=1e-9)
+        assert rec.y_true == pytest.approx(y, rel=1e-12)
+        top = y / C + S_BITS / (g_in * C)
+        if rec.equality_case:
+            assert rec.lower == rec.upper == pytest.approx(top - 1.0, rel=1e-9)
+        else:
+            assert (rec.lower, rec.upper) == pytest.approx((y / C - 1.0, top), rel=1e-9)
+
+    def inside(rec):
+        tol = 1e-9 * max(1.0, abs(rec.lower), abs(rec.upper))
+        return rec.lower - tol <= rec.strain <= rec.upper + tol
+
+    per_record = [bool(inside(rec)) for rec in bounds]
+    assert bounds.passed.tolist() == per_record
+    assert bounds.passed.all() == all(per_record)
+    assert int((~bounds.passed).sum()) == sum(not rec.passed for rec in bounds)
+
+
 @given(seed=st.integers(0, 50), m=st.integers(5, 30), u_frac=st.floats(0.2, 3.0))
 def test_departures_strictly_increasing_property(seed, m, u_frac):
     path = make_path(fbm_traffic(seed=seed, horizon=5.0))
