@@ -19,7 +19,7 @@ import numbers
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -405,7 +405,7 @@ def _ensemble_rows(base, variants, seeds, columns, xi_key) -> list[dict]:
     workers = _pool_size(len(seeds), _check_memory(cfgs, "one worker of the ensemble"))
     tasks = [(base, variants, seed) for seed in seeds]
     if workers > 1:
-        with ProcessPoolExecutor(workers) as pool:
+        with futures.ProcessPoolExecutor(workers) as pool:
             by_seed = dict(pool.map(_seed_task, tasks))
     else:
         by_seed = dict(map(_seed_task, tasks))

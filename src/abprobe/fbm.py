@@ -50,7 +50,7 @@ from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -108,24 +108,21 @@ def _fgn(n: int, hurst: float, rng: np.random.Generator, lead: int) -> np.ndarra
         rng.standard_normal(out=x[lead:])
         return x
 
-    key = (n, hurst)
-    scale = _SCALE_CACHE.get(key)
-    if scale is None:
-        lam = _embedding_eigenvalues(n, hurst)
-        m = 2 * (len(lam) - 1)
-        # per-bin scale sqrt(m*lam/2); the real bins 0 and m/2 take sqrt(m*lam)
-        lam *= m
-        lam[1 : m // 2] /= 2.0
-        scale = np.sqrt(lam, out=lam)
-        if len(_SCALE_CACHE) >= _SCALE_CACHE_SIZE:
-            _SCALE_CACHE.pop(next(iter(_SCALE_CACHE)))
-        _SCALE_CACHE[key] = scale
-    return _irfft(_normal_spectrum, (rng, scale), lead, n)
+    return _irfft(_normal_spectrum, (rng, _scale(n, hurst)), lead, n)
 
 
-# spectral scales are a pure function of (n, hurst); reuse across seeds
-_SCALE_CACHE: dict[tuple[int, float], np.ndarray] = {}
-_SCALE_CACHE_SIZE = 4
+@lru_cache(maxsize=4)
+def _scale(n: int, hurst: float) -> np.ndarray:
+    """The read-only per-bin scale sqrt(m*lam/2) of the synthesis of n > 1
+    increments, the real bins 0 and m/2 taking sqrt(m*lam): a pure function
+    of (n, hurst), so kept for the next seed's trace."""
+    lam = _embedding_eigenvalues(n, hurst)
+    m = 2 * (len(lam) - 1)
+    lam *= m
+    lam[1 : m // 2] /= 2.0
+    scale = np.sqrt(lam, out=lam)
+    scale.flags.writeable = False
+    return scale
 
 
 def peak_bytes(traces: Iterable[tuple[int, float]]) -> int:
@@ -135,10 +132,10 @@ def peak_bytes(traces: Iterable[tuple[int, float]]) -> int:
     imports, peak RSS rose 13.2 and 12.4 B at 3.3 M and 10 M samples), 4 B
     per point more while a tracer or profiler is active, for the copy of
     the kept points _irfft then makes, and 4 B per point of up to
-    _SCALE_CACHE_SIZE - 1 cached others."""
+    maxsize - 1 other scales _scale keeps."""
     lens = sorted(_next_fast_len(2 * (n - 1)) for n, _ in set(traces))
     per_point = 19 if _traced() else 15
-    return per_point * lens[-1] + 4 * sum(lens[-_SCALE_CACHE_SIZE:-1])
+    return per_point * lens[-1] + 4 * sum(lens[-_scale.cache_parameters()["maxsize"] : -1])
 
 
 def _traced() -> bool:

@@ -105,7 +105,7 @@ def test_criterion_3_strain_bounds():
         cfg = RunConfig(capacity=C10, portions=5, packets=34, sequences=1000, seed=seed)
         rep = run(cfg, collect_bounds=True)
         total += len(rep.bound_reports)
-        failed += sum(not b.passed for b in rep.bound_reports)
+        failed += int((~rep.bound_reports.passed).sum())
     elapsed = time.time() - t0
     report(
         3,

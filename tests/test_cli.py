@@ -168,7 +168,7 @@ def test_ensemble_memory_counts_each_worker(tmp_path, capsys, monkeypatch):
             raise AssertionError("worker pool started")
 
     monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
-    monkeypatch.setattr(abprobe.experiment, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
     monkeypatch.setattr(abprobe.fbm, "CPUS", 2)
     one = peak_bytes([trace_key(RunConfig(sequences=300))])
     probes = abprobe.experiment.PROBE_BYTES * 300 * RunConfig().packets
@@ -282,6 +282,9 @@ def test_ill_typed_config_value_exits_2(tmp_path, capsys, key, value, message):
         ([], {"gate_threshold": -0.1}, "gate_threshold must be >= 0"),
         (["--initial-ab", "-1"], {}, "initial_ab must be >= 0"),
         ([], {"initial_ab": -1e6}, "initial_ab must be >= 0"),
+        # the readout is clamped to rate_max (3.2e7 here), so it could never show the guess
+        (["--initial-ab", "1e12"], {}, "initial_ab 1e+12 must be <= ab_cap 3.2e+07"),
+        ([], {"initial_ab": 4e7}, "initial_ab 4e+07 must be <= ab_cap 3.2e+07"),
     ],
 )
 def test_bad_filter_values_exit_2_before_synthesis(
@@ -307,6 +310,18 @@ def test_negative_initial_ab_in_an_ensemble_config_exits_2_before_synthesis(
     argv = [command, "--config", str(cfg), "--sequences", "5", "--seeds", "0,1", "--out", str(out)]
     assert main(argv) == 2
     assert "initial_ab must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_initial_ab_list_above_the_readout_cap_exits_2_before_synthesis(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(abprobe.path, "generate_trace", refuse)
+    out = tmp_path / "x.csv"
+    argv = ["compare-bart", "--initial-ab", "2.5e6,1e9", "--sequences", "5", "--seeds", "0,1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert "lower --initial-ab or raise --rate-max" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -285,6 +285,22 @@ def test_sweep_forks_after_a_threaded_synthesis():
     assert out.stdout.strip() == "True"
 
 
+def test_single_run_does_not_import_the_process_pool(tmp_path):
+    # only an ensemble's pooled branch asks concurrent.futures for its
+    # process pool, so a run loads neither it nor multiprocessing
+    code = (
+        "import sys\n"
+        "from abprobe.cli import main\n"
+        "assert main(['run', '--sequences', '3', '--out', sys.argv[1]]) == 0\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "e.csv")], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def test_pool_size_follows_seeds_cpus_and_memory(monkeypatch):
     gib = 2**30
     monkeypatch.setattr(fbm, "CPUS", 3)
@@ -313,7 +329,7 @@ def test_ensemble_runs_on_the_pool_size(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(fbm, "CPUS", 3)
     base = small_config(sequences=5)
     cfg = replace(base, packets=13).finalize()

@@ -42,17 +42,26 @@ def omega_of(params):
 
 
 @pytest.fixture
-def set_block(monkeypatch):
+def fresh_scales():
+    """Drops the spectral scales fbm._scale keeps before and after a test, so
+    that no scale built under a patched fbm constant (a block size, an
+    embedding length) crosses tests."""
+    fbm._scale.cache_clear()
+    yield
+    fbm._scale.cache_clear()
+
+
+@pytest.fixture
+def set_block(monkeypatch, fresh_scales):
     """set_block(points) sets fbm._BLOCK for one test.  The spectral scales
     cached before and during the test are dropped, so that no scale built
     at another block size (different in the last bits) crosses tests."""
 
     def set_block(points):
         monkeypatch.setattr(fbm, "_BLOCK", points)
-        fbm._SCALE_CACHE.clear()
+        fbm._scale.cache_clear()
 
-    yield set_block
-    fbm._SCALE_CACHE.clear()
+    return set_block
 
 
 def assert_owns_its_bytes(x, size):
@@ -375,7 +384,7 @@ def assert_trace_matches_reference(params):
 @pytest.mark.parametrize("n_samples", [2, 8, 1001])
 def test_trace_bit_identical_to_reference(hurst, n_samples):
     # within the tolerances stated above
-    fbm._SCALE_CACHE.clear()
+    fbm._scale.cache_clear()
     for seed in (3, 4):  # the second call reuses the cached spectral scale
         assert_trace_matches_reference(
             make_params(hurst=hurst, mu=0.4, dt=0.5, horizon=0.5 * (n_samples - 1), seed=seed)
@@ -389,7 +398,7 @@ def test_trace_matches_reference_over_several_blocks(hurst):
     # near bin 0 are ~1e-6 of the largest, so their ~1e-15 rounding moves
     # omega's drift by ~4e-12 of max|omega| (the synthesis alone agrees to
     # ~2e-14).
-    fbm._SCALE_CACHE.clear()
+    fbm._scale.cache_clear()
     assert_trace_matches_reference(make_params(hurst=hurst, mu=0.4, horizon=70000.0, seed=7))
 
 
@@ -422,11 +431,10 @@ def test_embedding_falls_back_to_2n_then_raises(n, hurst):
 
 
 @pytest.mark.parametrize("n", [7, 1009])
-def test_prime_fallback_synthesis_matches_reference(monkeypatch, n):
+def test_prime_fallback_synthesis_matches_reference(monkeypatch, n, fresh_scales):
     # an embedding length of exactly 2n, as the fallback uses, gives a prime
     # half length, which the four-step FFT runs as a single lane
     monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     assert fbm._grid_shape(n) == (1, n)
     x = fgn_davies_harte(n, 0.7, np.random.default_rng(5))
     assert_owns_its_bytes(x, n)
@@ -597,29 +605,27 @@ def test_irfft_rows_longer_than_a_block(half):
     assert np.abs(x[1:] - want).max() <= OMEGA_RTOL * np.abs(want).max()
 
 
-def test_trace_built_through_wrapped_calls(monkeypatch):
+def test_trace_built_through_wrapped_calls(monkeypatch, fresh_scales):
     # the buffer is built inside _irfft, so wrappers that hold their
     # arguments (a decorator, a tracer, a frame evaluator) do not block the
     # in-place shrink
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     want = generate_trace(p, math.inf).volume
     for name in ("_irfft", "_fgn"):
         inner = getattr(fbm, name)
         monkeypatch.setattr(fbm, name, lambda *args, inner=inner: inner(*args))
-    fbm._SCALE_CACHE.clear()  # the eigenvalues take the wrapped path too
+    fbm._scale.cache_clear()  # the eigenvalues take the wrapped path too
     assert np.array_equal(generate_trace(p, math.inf).volume, want)
 
 
 @pytest.mark.parametrize("hook", ["settrace", "setprofile", "cProfile"])
-def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook):
+def test_trace_built_under_a_tracer_or_profiler(monkeypatch, hook, fresh_scales):
     # a tracer or profiler holds one more reference to the transform buffer
     # (the frame's locals, the bound method it reports), which the in-place
     # shrink refuses; the trace is then built in a copy, the same bit for bit
     p = make_params(mu=0.3, sigma=1.0, dt=0.1, horizon=20.0, seed=5)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     want = generate_trace(p, math.inf).volume
-    fbm._SCALE_CACHE.clear()  # the eigenvalues are built under the hook too
+    fbm._scale.cache_clear()  # the eigenvalues are built under the hook too
     if hook == "cProfile":
         got = cProfile.Profile().runcall(generate_trace, p, math.inf).volume
     else:
@@ -736,7 +742,7 @@ def test_trace_build_peak_memory_per_sample():
     # tracemalloc sees the whole peak.
     n = 2**20 + 1
     p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
-    fbm._SCALE_CACHE.clear()
+    fbm._scale.cache_clear()
     tracemalloc.start()
     try:
         PathModel(1e7, p)
@@ -747,14 +753,13 @@ def test_trace_build_peak_memory_per_sample():
 
 
 @pytest.mark.parametrize("half", [2 * 500009, 1000 * 1000, 2916 * 3456])
-def test_synthesis_temporaries_stay_within_blocks(monkeypatch, half):
+def test_synthesis_temporaries_stay_within_blocks(monkeypatch, half, fresh_scales):
     # tracemalloc's peak of one synthesis with its scale cached, less the
     # 8 B per embedding point of its transform buffer: the block buffers of
     # the passes, at most a few _BLOCK points each, whatever the grid's shape
     # (2 x 500009 is the m = 2n fallback's for n = 2 * prime; the last one is
     # fine_trace's).  Measured: 1.3, 1.0 and 1.1 MiB.
     monkeypatch.setattr(fbm, "_next_fast_len", lambda target: target)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     fgn_davies_harte(half, 0.7, np.random.default_rng(0))
     tracemalloc.start()
     try:
@@ -779,15 +784,37 @@ def test_cold_eigenvalue_step_peak_per_point():
     assert peak / (2 * (len(lam) - 1)) <= 8.6
 
 
-def test_traced_build_fits_its_estimate(monkeypatch):
+def test_scale_cache_keeps_the_least_recently_used_out(fresh_scales):
+    # four distinct (n, hurst) fill the cache; after the first is used
+    # again, a fifth evicts the second, not the first
+    assert fbm._scale.cache_parameters()["maxsize"] == 4
+    keys = [(100, 0.7), (200, 0.7), (300, 0.6), (400, 0.8)]
+    first, second = (fbm._scale(*key) for key in keys[:2])
+    for key in keys[2:]:
+        fbm._scale(*key)
+    assert fbm._scale(*keys[0]) is first
+    fbm._scale(500, 0.7)
+    assert fbm._scale(*keys[0]) is first
+    again = fbm._scale(*keys[1])
+    assert again is not second and np.array_equal(again, second)
+    # a hit is the kept array, which no caller may change
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.0
+    # peak_bytes counts the largest trace's build and at most three other
+    # kept scales: smaller traces beside those four add nothing
+    traces = [(n + 1, 0.7) for n in (100, 200, 300, 400, 500, 600)]
+    assert fbm.peak_bytes(traces) == fbm.peak_bytes(traces[-4:]) > fbm.peak_bytes(traces[-3:])
+
+
+def test_traced_build_fits_its_estimate(monkeypatch, fresh_scales):
     # under a tracer _irfft copies the kept points out of the full buffer,
     # and peak_bytes counts that copy: tracemalloc's peak with the scale
     # cached, plus the scale, stays within the estimate
     n = 2**20 + 1
     p = FbmParams(hurst=0.7, sigma=2.5e5, mu=4e6, dt=1e-3, horizon=1e-3 * (n - 1), seed=0)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     generate_trace(p, math.inf)
-    (scale,) = fbm._SCALE_CACHE.values()
+    scale = fbm._scale(n - 1, p.hurst)
     untraced = fbm.peak_bytes([(n, p.hurst)])
 
     def hook(frame, event, arg):
@@ -847,7 +874,7 @@ def test_trace_build_peak_rss_per_embedding_point():
         (2 * 524309, True, (2, 524309)),  # the m = 2n fallback's for n = 2 * prime
     ],
 )
-def test_threads_equal_serial_bit_for_bit(monkeypatch, n, exact, shape):
+def test_threads_equal_serial_bit_for_bit(monkeypatch, n, exact, shape, fresh_scales):
     # the same synthesis with the passes on one thread and on two: the cold
     # one (the covariance build too) and then a warm trace, equal bit for
     # bit; every transform above the cutoff starts its own worker and joins
@@ -868,7 +895,7 @@ def test_threads_equal_serial_bit_for_bit(monkeypatch, n, exact, shape):
     got = []
     for threads in (1, 2):
         monkeypatch.setattr(fbm, "_THREADS", threads)
-        monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+        fbm._scale.cache_clear()
         pools.clear()
         before = threading.active_count()
         x = fgn_davies_harte(n, p.hurst, np.random.default_rng(7))
@@ -881,7 +908,7 @@ def test_threads_equal_serial_bit_for_bit(monkeypatch, n, exact, shape):
     assert np.array_equal(got[0][1], got[1][1])
 
 
-def test_threads_under_stress_equal_serial(monkeypatch):
+def test_threads_under_stress_equal_serial(monkeypatch, fresh_scales):
     # more threads than the pipeline and most hosts have CPUs, switching as
     # often as the interpreter lets them: each split still writes disjoint
     # parts of the grid, so the synthesis is the serial one bit for bit
@@ -893,18 +920,17 @@ def test_threads_under_stress_equal_serial(monkeypatch):
     try:
         for threads in (1, 4):
             monkeypatch.setattr(fbm, "_THREADS", threads)
-            monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
+            fbm._scale.cache_clear()
             got.append(fgn_davies_harte(n, 0.7, np.random.default_rng(11)))
     finally:
         sys.setswitchinterval(previous)
     assert np.array_equal(got[0], got[1])
 
 
-def test_small_synthesis_starts_no_thread(monkeypatch):
+def test_small_synthesis_starts_no_thread(monkeypatch, fresh_scales):
     # below the cutoff every pass runs on the calling thread; the eigenvalue
     # transform keeps up to 1.25 n + 1 points, so n is half the cutoff
     monkeypatch.setattr(fbm, "_THREADS", 2)
-    monkeypatch.setattr(fbm, "_SCALE_CACHE", {})
     monkeypatch.setattr(fbm, "ThreadPoolExecutor", refuse_pool)
     n = fbm._THREADED * fbm._BLOCK // 2
     assert len(fgn_davies_harte(n, 0.7, np.random.default_rng(0))) == n

@@ -287,6 +287,13 @@ def test_zero_initial_ab_is_accepted():
     assert cfg(initial_ab=0.0).initial_ab == 0.0
 
 
+def test_initial_ab_above_the_readout_cap_is_refused():
+    # the readout is clamped to ab_cap, so a larger guess could never be read out
+    with pytest.raises(ValueError, match=r"initial_ab 2\.4e\+07 must be <= ab_cap 1\.2e\+07"):
+        cfg(initial_ab=2 * C_REF)
+    assert cfg(initial_ab=C_REF).initial_ab == C_REF
+
+
 def test_p1_step_matches_bart_configuration():
     # a P=1 measurement is one scalar update: identical through either path
     config = cfg(lam=1e-3)
