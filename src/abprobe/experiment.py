@@ -107,7 +107,8 @@ class RunConfig:
     bottleneck capacity when the config is finalized:
       sigma    = 0.025 * capacity      mu         = 0.4 * capacity
       rate_min = 0.7 * capacity        rate_max   = 3.2 * capacity
-      initial_ab = 0.5 * capacity      dt = packet_bits / (4 * capacity)
+      initial_ab = min(0.5 * capacity, rate_max)
+      dt = packet_bits / (4 * capacity)
     The filter normalizes rates by the capacity and caps its readout at
     rate_max.  Model constants, not fields: path's rate ceiling
     RATE_CEILING * capacity, SEQUENCE_GAP, and probing's strain-variance
@@ -162,7 +163,7 @@ class RunConfig:
         rate_max = 3.2 * c if self.rate_max is None else self.rate_max
         packet_bits = 8.0 * self.packet_size
         dt = packet_bits / (4.0 * c) if self.dt is None else self.dt
-        initial_ab = 0.5 * c if self.initial_ab is None else self.initial_ab
+        initial_ab = min(0.5 * c, rate_max) if self.initial_ab is None else self.initial_ab
 
         cfg = replace(
             self,

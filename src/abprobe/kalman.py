@@ -69,8 +69,8 @@ class FilterConfig:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.initial_ab > self.ab_cap:
-            raise ValueError(f"initial_ab {self.initial_ab:g} must be <= ab_cap {self.ab_cap:g}, the "
-                             "readout's clamp; lower --initial-ab or raise --rate-max")
+            raise ValueError(f"initial_ab {self.initial_ab:g} must be <= ab_cap {self.ab_cap:g} "
+                             "(rate_max), the readout's clamp; lower initial_ab or raise rate_max")
 
 
 @dataclass(frozen=True)

@@ -299,6 +299,14 @@ def test_bad_filter_values_exit_2_before_synthesis(
     assert not out.exists()
 
 
+def test_run_under_a_lowered_rate_max_derives_a_guess_it_accepts(tmp_path):
+    # the derived guess, 0.5*capacity = 5e6, would exceed this readout cap
+    out = tmp_path / "x.csv"
+    assert main(["run", "--sequences", "5", "--rate-min", "2e6", "--rate-max", "4e6",
+                 "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
 @pytest.mark.parametrize("command", ["sweep", "compare-bart"])
 def test_negative_initial_ab_in_an_ensemble_config_exits_2_before_synthesis(
     tmp_path, capsys, monkeypatch, command
@@ -321,7 +329,7 @@ def test_initial_ab_list_above_the_readout_cap_exits_2_before_synthesis(
     argv = ["compare-bart", "--initial-ab", "2.5e6,1e9", "--sequences", "5", "--seeds", "0,1",
             "--out", str(out)]
     assert main(argv) == 2
-    assert "lower --initial-ab or raise --rate-max" in capsys.readouterr().err
+    assert "lower initial_ab or raise rate_max" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -83,6 +83,13 @@ def test_finalize_refuses_gate_threshold_none_or_negative():
         RunConfig(gate_threshold=-1e-3).finalize()
 
 
+def test_derived_initial_ab_stays_under_a_lowered_rate_max():
+    # half the capacity (5e6) is above the readout cap, so the guess is the cap
+    cfg = RunConfig(rate_min=2e6, rate_max=4e6).finalize()
+    assert cfg.initial_ab == 4e6
+    assert cfg.filter_config().initial_ab == cfg.filter_config().ab_cap
+
+
 def test_finalize_keeps_explicit_values():
     cfg = RunConfig(sigma=1e5, rate_min=5e6, initial_ab=7e6).finalize()
     assert cfg.sigma == 1e5
